@@ -17,17 +17,14 @@
 //
 // There is deliberately NO speedup gate: the mix is CDAG-build-bound
 // and each worker owns a private cache, so fabric throughput depends
-// on how rendezvous happens to shard the mix.  The trajectory records
-// both arms so successive PRs can watch the ratio.
+// on how rendezvous happens to shard the mix.  The ratio is printed and
+// recorded in the run report.
 //
 // `bench_fabric --out report.json` writes a versioned run report whose
 // extra.fabric section carries the router's supervision accounting for
-// the schema checker.  Every run also writes BENCH_fabric.json
-// (schema fmm.bench_trajectory) to the source root; --bench-out PATH
-// overrides the destination.
+// the schema checker.
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <regex>
 #include <sstream>
@@ -37,10 +34,8 @@
 #include "common/table.hpp"
 #include "fabric/router.hpp"
 #include "fabric/transport.hpp"
-#include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
-#include "obs/trace.hpp"
 #include "service/service.hpp"
 
 namespace {
@@ -57,18 +52,6 @@ int main(int argc, char** argv) {
   using Clock = std::chrono::steady_clock;
 
   const obs::ReportCli cli = obs::parse_report_cli(argc, argv);
-#ifdef FMM_SOURCE_ROOT
-  std::string bench_out = std::string(FMM_SOURCE_ROOT) +
-                          "/BENCH_fabric.json";
-#else
-  std::string bench_out = "BENCH_fabric.json";
-#endif
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--bench-out") {
-      bench_out = argv[i + 1];
-    }
-  }
-  obs::enable_tracing_if_available();
   obs::Registry::instance().reset();
 
   std::printf("=== F1: fabric (router + 4 workers, chaos kill) vs "
@@ -212,31 +195,6 @@ int main(int argc, char** argv) {
   std::printf("fabric/direct throughput ratio: %.2fx (recorded, not "
               "gated)\n",
               ratio);
-
-  {
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"schema\": \"fmm.bench_trajectory\",\n";
-    os << "  \"schema_version\": 1,\n";
-    os << "  \"experiment\": \"F1 fabric vs direct serving\",\n";
-    os << "  \"build\": " << obs::build_info_json() << ",\n";
-    os << "  \"requests\": " << total_requests << ",\n";
-    os << "  \"workers\": " << fabric_config.num_workers << ",\n";
-    os << "  \"direct_ms\": " << direct_ms << ",\n";
-    os << "  \"fabric_ms\": " << fabric_ms << ",\n";
-    os << "  \"fabric_over_direct\": " << ratio << ",\n";
-    os << "  \"kills_injected\": " << stats.kills_injected << ",\n";
-    os << "  \"requeues\": " << stats.requeues << ",\n";
-    os << "  \"respawns\": " << stats.respawns << "\n";
-    os << "}\n";
-    std::ofstream out(bench_out);
-    out << os.str();
-    if (!out) {
-      std::fprintf(stderr, "FATAL: cannot write %s\n", bench_out.c_str());
-      return 1;
-    }
-    std::printf("wrote perf trajectory to %s\n", bench_out.c_str());
-  }
 
   if (cli.wants_report() || !cli.trace_path.empty()) {
     obs::RunReport report("bench_fabric");

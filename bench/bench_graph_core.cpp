@@ -28,7 +28,6 @@ int main(int argc, char** argv) {
   using graph::VertexId;
 
   const obs::ReportCli cli = obs::parse_report_cli(argc, argv);
-  obs::enable_tracing_if_available();
   obs::Registry::instance().reset();  // report covers this run only
 
   obs::RunReport report("bench_graph_core");

@@ -1,4 +1,4 @@
-// O1 — branch-and-bound oracle scaling trajectory (docs/OPTIMAL.md).
+// O1 — branch-and-bound oracle scaling ladder (docs/OPTIMAL.md).
 // Runs the exact minimum-I/O solver over the instance ladder the
 // tentpole targets — Strassen's A-encoder, the FULL Strassen n=2 CDAG
 // (33 vertices), the Laderman and rectangular <3,3,6;46> encoder
@@ -12,17 +12,12 @@
 //   2. at least one >= 40-vertex encoder sub-CDAG solves exactly, both
 //      variants.
 //
-// Every run writes BENCH_optimal.json — a perf-trajectory baseline
-// (schema fmm.bench_trajectory) for cross-PR diffing, next to
-// BENCH_sweep.json / BENCH_service.json; --bench-out overrides the
-// path.  `bench_optimal --out report.json` additionally runs a small
+// `bench_optimal --out report.json` additionally runs a small
 // optimal+simulate+boundcheck sweep and attaches its certified-chain
 // section (extra.sweep) to the run report, which the ctest schema
 // fixture validates end to end.
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -32,7 +27,6 @@
 #include "common/check.hpp"
 #include "common/table.hpp"
 #include "common/timing.hpp"
-#include "obs/build_info.hpp"
 #include "obs/run_report.hpp"
 #include "pebble/optimal.hpp"
 #include "sweep/sweep.hpp"
@@ -73,10 +67,7 @@ PebbleInstance encoder_instance(const bilinear::BilinearAlgorithm& alg,
 }
 
 struct CellRow {
-  std::string instance;
   std::size_t vertices = 0;
-  std::int64_t m = 0;
-  bool remat = false;
   OptimalPebbleResult result;
   double seconds = 0.0;
 };
@@ -86,20 +77,12 @@ struct CellRow {
 int main(int argc, char** argv) {
   const obs::ReportCli cli = obs::parse_report_cli(argc, argv);
 #ifdef FMM_SOURCE_ROOT
-  std::string bench_out =
-      std::string(FMM_SOURCE_ROOT) + "/BENCH_optimal.json";
   const std::string zoo = std::string(FMM_SOURCE_ROOT) + "/schemes/";
 #else
-  std::string bench_out = "BENCH_optimal.json";
   const std::string zoo = "schemes/";
 #endif
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--bench-out") {
-      bench_out = argv[i + 1];
-    }
-  }
 
-  std::printf("=== O1: branch-and-bound oracle trajectory (exact minimum "
+  std::printf("=== O1: branch-and-bound oracle ladder (exact minimum "
               "I/O) ===\n\n");
 
   // The instance ladder, smallest to largest.  M values are chosen so
@@ -148,10 +131,7 @@ int main(int argc, char** argv) {
         options.cache_size = m;
         options.allow_recomputation = remat;
         CellRow row;
-        row.instance = spec.name;
         row.vertices = spec.instance.graph.num_vertices();
-        row.m = m;
-        row.remat = remat;
         Stopwatch watch;
         try {
           row.result = pebble::optimal_io(spec.instance, options);
@@ -202,38 +182,6 @@ int main(int argc, char** argv) {
   if (!saw_strassen_full || !strassen_full_exact || !big_encoder_exact) {
     std::fprintf(stderr, "FATAL: oracle acceptance gate failed\n");
     return 1;
-  }
-
-  // Perf-trajectory baseline for cross-PR diffing.
-  {
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"schema\": \"fmm.bench_trajectory\",\n";
-    os << "  \"schema_version\": 1,\n";
-    os << "  \"experiment\": \"O1 branch-and-bound oracle trajectory\",\n";
-    os << "  \"build\": " << obs::build_info_json() << ",\n";
-    os << "  \"instances_solved\": " << rows.size() << ",\n";
-    os << "  \"cells\": [\n";
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      const CellRow& row = rows[i];
-      os << "    {\"instance\": \"" << row.instance << "\", \"vertices\": "
-         << row.vertices << ", \"m\": " << row.m << ", \"remat\": "
-         << (row.remat ? "true" : "false") << ", \"min_io\": "
-         << row.result.min_io << ", \"optimality\": \""
-         << pebble::optimality_name(row.result.optimality)
-         << "\", \"states_explored\": " << row.result.states_explored
-         << ", \"wall_s\": " << row.seconds << "}"
-         << (i + 1 < rows.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n";
-    os << "}\n";
-    std::ofstream out(bench_out);
-    out << os.str();
-    if (!out) {
-      std::fprintf(stderr, "FATAL: cannot write %s\n", bench_out.c_str());
-      return 1;
-    }
-    std::printf("wrote perf trajectory to %s\n", bench_out.c_str());
   }
 
   if (cli.wants_report()) {

@@ -32,7 +32,6 @@ int main(int argc, char** argv) {
   using namespace fmm;
 
   const obs::ReportCli cli = obs::parse_report_cli(argc, argv);
-  obs::enable_tracing_if_available();
   obs::Registry::instance().reset();
 
   std::printf("=== R1: fault injection and recomputation-based recovery "

@@ -17,74 +17,22 @@
 // `bench_service --out report.json` writes a versioned run report whose
 // extra.service section carries the warm arm's session tallies and
 // cache counters for the schema checker.
-//
-// Every run also writes BENCH_service.json — a perf-trajectory
-// baseline (schema fmm.bench_trajectory: build provenance, per-arm
-// ms/pass, speedup, and per-op latency percentiles from the telemetry
-// histograms) — to the source root so successive PRs have a number to
-// diff against.  --bench-out PATH overrides the destination.
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/table.hpp"
-#include "obs/build_info.hpp"
-#include "obs/histogram.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
-#include "obs/trace.hpp"
 #include "service/service.hpp"
-
-namespace {
-
-/// Per-op latency percentile rows harvested from the registry's
-/// service.latency.<op> histograms (JSON array, sorted by op).
-std::string latency_rows_json(const std::string& indent) {
-  constexpr const char* kPrefix = "service.latency.";
-  std::ostringstream os;
-  os << "[";
-  bool first = true;
-  for (const auto& [name, snap] :
-       fmm::obs::Registry::instance().histograms()) {
-    if (name.rfind(kPrefix, 0) != 0 || snap.count == 0) {
-      continue;
-    }
-    os << (first ? "\n" : ",\n") << indent << "{\"op\": \""
-       << name.substr(std::string(kPrefix).size()) << "\""
-       << ", \"count\": " << snap.count
-       << ", \"p50_ns\": " << snap.percentile(0.50)
-       << ", \"p90_ns\": " << snap.percentile(0.90)
-       << ", \"p99_ns\": " << snap.percentile(0.99)
-       << ", \"max_ns\": " << snap.max << "}";
-    first = false;
-  }
-  os << (first ? "]" : "\n" + indent.substr(2) + "]");
-  return os.str();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace fmm;
   using Clock = std::chrono::steady_clock;
 
   const obs::ReportCli cli = obs::parse_report_cli(argc, argv);
-#ifdef FMM_SOURCE_ROOT
-  std::string bench_out = std::string(FMM_SOURCE_ROOT) +
-                          "/BENCH_service.json";
-#else
-  std::string bench_out = "BENCH_service.json";
-#endif
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--bench-out") {
-      bench_out = argv[i + 1];
-    }
-  }
-  obs::enable_tracing_if_available();
   obs::Registry::instance().reset();
 
   std::printf("=== Q1: query service cold vs warm throughput ===\n\n");
@@ -135,12 +83,11 @@ int main(int argc, char** argv) {
   service::QueryService cold(cold_config);
   std::vector<std::string> cold_responses;
   const double cold_ms = run_passes(cold, kPasses, &cold_responses);
-  const std::string cold_latency = latency_rows_json("      ");
 
   // Warm arm: default budget; one untimed pass primes the cache, then
   // the timed passes answer from retained payloads.  The registry is
-  // reset between arms so each arm's latency histograms (and the
-  // report's metrics snapshot) describe that arm alone.
+  // reset between arms so the report's metrics snapshot describes the
+  // warm arm alone.
   obs::Registry::instance().reset();
   service::ServiceConfig warm_config;
   warm_config.num_threads = 1;
@@ -193,35 +140,6 @@ int main(int argc, char** argv) {
                          "the cache is not paying for itself\n",
                  speedup);
     return 1;
-  }
-
-  // Perf-trajectory baseline for cross-PR diffing.  The warm arm's
-  // percentiles include the untimed priming pass — its cache misses are
-  // part of what a freshly started warm service actually serves.
-  {
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"schema\": \"fmm.bench_trajectory\",\n";
-    os << "  \"schema_version\": 1,\n";
-    os << "  \"experiment\": \"Q1 cold vs warm service throughput\",\n";
-    os << "  \"build\": " << obs::build_info_json() << ",\n";
-    os << "  \"queries_per_pass\": " << queries.size() << ",\n";
-    os << "  \"passes\": " << kPasses << ",\n";
-    os << "  \"cold_ms_per_pass\": " << cold_ms << ",\n";
-    os << "  \"warm_ms_per_pass\": " << warm_ms << ",\n";
-    os << "  \"speedup\": " << speedup << ",\n";
-    os << "  \"arms\": {\n";
-    os << "    \"cold\": " << cold_latency << ",\n";
-    os << "    \"warm\": " << latency_rows_json("      ") << "\n";
-    os << "  }\n";
-    os << "}\n";
-    std::ofstream out(bench_out);
-    out << os.str();
-    if (!out) {
-      std::fprintf(stderr, "FATAL: cannot write %s\n", bench_out.c_str());
-      return 1;
-    }
-    std::printf("wrote perf trajectory to %s\n", bench_out.c_str());
   }
 
   if (cli.wants_report() || !cli.trace_path.empty()) {

@@ -20,29 +20,24 @@
 //      approximation of the CDAG, it IS the CDAG;
 //   2. speed: at Strassen n = 64 the MAPPED load is >= 100x faster
 //      than the rebuild.  The full-verify load is recorded in the
-//      trajectory but not gated: re-hashing 24 MB has a bandwidth
+//      run report but not gated: re-hashing 24 MB has a bandwidth
 //      floor no format can cheat, and its win (~15x here) is not the
 //      zero-copy promise.
 //
 // `bench_snapshot --out report.json` writes a versioned run report
 // (extra.snapshot carries the store accounting for the schema
-// checker).  Every run also writes BENCH_snapshot.json (schema
-// fmm.bench_trajectory) to the source root; --bench-out PATH overrides.
+// checker).
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "cdag/builder.hpp"
 #include "common/table.hpp"
-#include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
-#include "obs/trace.hpp"
 #include "pebble/machine.hpp"
 #include "pebble/schedules.hpp"
 #include "snapshot/store.hpp"
@@ -92,20 +87,11 @@ int main(int argc, char** argv) {
 
   const obs::ReportCli cli = obs::parse_report_cli(argc, argv);
 #ifdef FMM_SOURCE_ROOT
-  std::string bench_out =
-      std::string(FMM_SOURCE_ROOT) + "/BENCH_snapshot.json";
   const std::string laderman = std::string("file:") + FMM_SOURCE_ROOT +
                                "/schemes/laderman_333_23.json";
 #else
-  std::string bench_out = "BENCH_snapshot.json";
   const std::string laderman = "file:schemes/laderman_333_23.json";
 #endif
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--bench-out") {
-      bench_out = argv[i + 1];
-    }
-  }
-  obs::enable_tracing_if_available();
   obs::Registry::instance().reset();
 
   std::printf("=== N1: snapshot load vs CDAG rebuild ===\n\n");
@@ -218,38 +204,6 @@ int main(int argc, char** argv) {
   std::printf("full-verify load: %.1fx (recorded, not gated — checksum "
               "re-derivation has a bandwidth floor)\n",
               gate.build_ms / gate.load_full_ms);
-
-  {
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"schema\": \"fmm.bench_trajectory\",\n";
-    os << "  \"schema_version\": 1,\n";
-    os << "  \"experiment\": \"N1 snapshot load vs rebuild\",\n";
-    os << "  \"build\": " << obs::build_info_json() << ",\n";
-    os << "  \"mapped_speedup_n64\": " << mapped_speedup << ",\n";
-    os << "  \"full_speedup_n64\": "
-       << gate.build_ms / gate.load_full_ms << ",\n";
-    os << "  \"cases\": [\n";
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const CaseResult& row = results[i];
-      os << "    {\"case\": \"" << row.label << "\", \"n\": " << row.n
-         << ", \"vertices\": " << row.vertices
-         << ", \"snapshot_bytes\": " << row.snapshot_bytes
-         << ", \"build_ms\": " << row.build_ms
-         << ", \"load_full_ms\": " << row.load_full_ms
-         << ", \"load_mapped_ms\": " << row.load_mapped_ms << "}"
-         << (i + 1 < results.size() ? "," : "") << "\n";
-    }
-    os << "  ]\n";
-    os << "}\n";
-    std::ofstream out(bench_out);
-    out << os.str();
-    if (!out) {
-      std::fprintf(stderr, "FATAL: cannot write %s\n", bench_out.c_str());
-      return 1;
-    }
-    std::printf("wrote perf trajectory to %s\n", bench_out.c_str());
-  }
 
   if (cli.wants_report() || !cli.trace_path.empty()) {
     obs::RunReport report("bench_snapshot");

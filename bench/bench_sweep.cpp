@@ -15,23 +15,16 @@
 //
 // `bench_sweep --out report.json` writes a versioned run report whose
 // extra.sweep section is the (thread-count-independent) sweep payload.
-// Every run also writes BENCH_sweep.json — a perf-trajectory baseline
-// (schema fmm.bench_trajectory) for cross-PR diffing, next to
-// bench_service's BENCH_service.json.  --bench-out overrides the path.
 #include <cstdio>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/table.hpp"
 #include "common/timing.hpp"
-#include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
-#include "obs/trace.hpp"
 #include "sweep/sweep.hpp"
 
 int main(int argc, char** argv) {
@@ -39,21 +32,12 @@ int main(int argc, char** argv) {
 
   const obs::ReportCli cli = obs::parse_report_cli(argc, argv);
 #ifdef FMM_SOURCE_ROOT
-  std::string bench_out =
-      std::string(FMM_SOURCE_ROOT) + "/BENCH_sweep.json";
   const std::string laderman_key =
       std::string("file:") + FMM_SOURCE_ROOT +
       "/schemes/laderman_333_23.json";
 #else
-  std::string bench_out = "BENCH_sweep.json";
   const std::string laderman_key = "file:schemes/laderman_333_23.json";
 #endif
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--bench-out") {
-      bench_out = argv[i + 1];
-    }
-  }
-  obs::enable_tracing_if_available();
 
   sweep::SweepSpec spec;
   spec.algorithms = {"strassen"};
@@ -132,8 +116,6 @@ int main(int argc, char** argv) {
               laderman_key.c_str(),
               format_double(laderman_traits.omega0).c_str(),
               laderman_traits.fingerprint.c_str());
-  double laderman_serial = 0.0;
-  double laderman_4t = 0.0;
   for (const std::size_t threads : {1u, 4u}) {
     obs::Registry::instance().reset();
     laderman.num_threads = threads;
@@ -142,54 +124,18 @@ int main(int argc, char** argv) {
     const std::string json = result.to_json();
     if (threads == 1) {
       laderman_reference = json;
-      laderman_serial = result.wall_seconds;
     } else if (json != laderman_reference) {
       std::fprintf(stderr,
                    "FATAL: Laderman sweep report diverged at %zu "
                    "threads — determinism contract broken\n",
                    threads);
       return 1;
-    } else {
-      laderman_4t = result.wall_seconds;
     }
     std::printf("laderman %zu thread(s): %s s (%s tasks/s)\n", threads,
                 format_double(result.wall_seconds).c_str(),
                 format_double(static_cast<double>(result.num_tasks) /
                               result.wall_seconds)
                     .c_str());
-  }
-
-  // Perf-trajectory baseline for cross-PR diffing (both arms).
-  {
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"schema\": \"fmm.bench_trajectory\",\n";
-    os << "  \"schema_version\": 1,\n";
-    os << "  \"experiment\": \"S1 sweep engine scaling\",\n";
-    os << "  \"build\": " << obs::build_info_json() << ",\n";
-    os << "  \"hardware_threads\": " << hardware << ",\n";
-    os << "  \"arms\": {\n";
-    os << "    \"strassen\": {\"tasks\": 36, \"serial_s\": "
-       << serial_seconds << ", \"threads_2_s\": " << seconds_at[2]
-       << ", \"threads_4_s\": " << seconds_at[4]
-       << ", \"threads_8_s\": " << seconds_at[8]
-       << ", \"speedup_4t\": " << speedup_4 << "},\n";
-    os << "    \"laderman\": {\"tasks\": 12, \"serial_s\": "
-       << laderman_serial << ", \"threads_4_s\": " << laderman_4t
-       << ", \"speedup_4t\": "
-       << (laderman_4t > 0.0 ? laderman_serial / laderman_4t : 0.0)
-       << ", \"omega0\": " << laderman_traits.omega0
-       << ", \"scheme_fingerprint\": \"" << laderman_traits.fingerprint
-       << "\"}\n";
-    os << "  }\n";
-    os << "}\n";
-    std::ofstream out(bench_out);
-    out << os.str();
-    if (!out) {
-      std::fprintf(stderr, "FATAL: cannot write %s\n", bench_out.c_str());
-      return 1;
-    }
-    std::printf("wrote perf trajectory to %s\n", bench_out.c_str());
   }
 
   if (cli.wants_report() || !cli.trace_path.empty()) {

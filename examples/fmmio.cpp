@@ -74,8 +74,8 @@
 // on the same two ops).
 //
 // --out writes a versioned JSON run report (docs/OBSERVABILITY.md);
-// --trace (or --out with tracing compiled in) writes a Chrome
-// trace-event JSON viewable in Perfetto.
+// --trace PATH turns the tracer on and writes a Chrome trace-event JSON
+// viewable in Perfetto; without it tracing stays off.
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -103,6 +103,7 @@
 #include "bounds/segments.hpp"
 #include "cdag/builder.hpp"
 #include "common/check.hpp"
+#include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/math_util.hpp"
 #include "common/rng.hpp"
@@ -119,7 +120,6 @@
 #include "pebble/machine.hpp"
 #include "pebble/optimal.hpp"
 #include "pebble/schedules.hpp"
-#include "resilience/checkpoint.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/retry.hpp"
 #include "service/service.hpp"
@@ -276,13 +276,13 @@ bilinear::SchemeTraits pick_traits(const std::string& name) {
 }
 
 /// Report/trace plumbing shared by subcommands: reads --out/--trace/
-/// --seed, and runtime-enables tracing when a destination exists.
+/// --seed, and runtime-enables tracing iff --trace names a destination.
 obs::ReportCli report_cli_from(const Args& args) {
   obs::ReportCli cli;
   cli.out_path = args.get("out", "");
   cli.trace_path = args.get("trace", "");
   cli.seed = static_cast<std::uint64_t>(args.get_int("seed", 1));
-  if (!cli.out_path.empty() || !cli.trace_path.empty()) {
+  if (!cli.trace_path.empty()) {
     obs::enable_tracing_if_available();
   }
   return cli;
@@ -1511,71 +1511,11 @@ int cmd_query(const Args& args) {
   return response.find("\"ok\": true") != std::string::npos ? 0 : 1;
 }
 
-/// Re-serializes a parsed JsonValue onto one line — lets `tail` print
-/// daemon records as NDJSON without re-tracking the record schema here.
-void json_dump(const resilience::JsonValue& value, std::ostream& os) {
-  using resilience::JsonValue;
-  switch (value.kind()) {
-    case JsonValue::Kind::kNull:
-      os << "null";
-      break;
-    case JsonValue::Kind::kBool:
-      os << (value.as_bool() ? "true" : "false");
-      break;
-    case JsonValue::Kind::kNumber: {
-      const double d = value.as_double();
-      const auto i = static_cast<std::int64_t>(d);
-      if (static_cast<double>(i) == d) {
-        os << i;
-      } else {
-        os << d;
-      }
-      break;
-    }
-    case JsonValue::Kind::kString:
-      os << '"';
-      for (const char ch : value.as_string()) {
-        if (ch == '"' || ch == '\\') {
-          os << '\\' << ch;
-        } else if (ch == '\n') {
-          os << "\\n";
-        } else {
-          os << ch;
-        }
-      }
-      os << '"';
-      break;
-    case JsonValue::Kind::kArray: {
-      os << '[';
-      bool first = true;
-      for (const auto& item : value.items()) {
-        os << (first ? "" : ", ");
-        json_dump(item, os);
-        first = false;
-      }
-      os << ']';
-      break;
-    }
-    case JsonValue::Kind::kObject: {
-      os << '{';
-      bool first = true;
-      for (const auto& [key, member] : value.members()) {
-        os << (first ? "" : ", ") << '"' << key << "\": ";
-        json_dump(member, os);
-        first = false;
-      }
-      os << '}';
-      break;
-    }
-  }
-}
-
 /// Extracts `result` from a daemon response line, or exits loudly —
 /// shared by the metrics and tail scrape subcommands.
-resilience::JsonValue scrape_result(const std::string& response,
-                                    const char* command) {
-  const resilience::JsonValue doc = resilience::parse_json(response);
-  const resilience::JsonValue* ok = doc.find("ok");
+JsonValue scrape_result(const std::string& response, const char* command) {
+  const JsonValue doc = parse_json(response);
+  const JsonValue* ok = doc.find("ok");
   if (ok == nullptr || !ok->is_bool() || !ok->as_bool()) {
     std::fprintf(stderr, "fmmio: %s scrape failed: %s\n", command,
                  response.c_str());
@@ -1589,8 +1529,7 @@ int cmd_metrics(const Args& args) {
 #ifdef __unix__
     const std::string response = query_over_socket(
         args.get("connect", ""), "{\"op\": \"metrics\"}");
-    const resilience::JsonValue result =
-        scrape_result(response, "metrics");
+    const JsonValue result = scrape_result(response, "metrics");
     std::fputs(result.at("exposition").as_string().c_str(), stdout);
     return 0;
 #else
@@ -1618,12 +1557,12 @@ int cmd_tail(const Args& args) {
   request << "{\"op\": \"tail\", \"limit\": " << limit << "}";
   const std::string response =
       query_over_socket(args.get("connect", ""), request.str());
-  const resilience::JsonValue result = scrape_result(response, "tail");
+  const JsonValue result = scrape_result(response, "tail");
   // One record per line: `--slow` streams the slow-query log, default
   // streams the recent-request ring (oldest first).
   for (const auto& record :
        result.at(args.has("slow") ? "slow" : "recent").items()) {
-    json_dump(record, std::cout);
+    write_json(std::cout, record);
     std::cout << "\n";
   }
   return 0;

@@ -8,8 +8,9 @@
 
 #include "bilinear/catalog.hpp"
 #include "common/check.hpp"
+#include "common/hash.hpp"
+#include "common/json.hpp"
 #include "common/math_util.hpp"
-#include "resilience/checkpoint.hpp"
 
 namespace fmm::bilinear {
 
@@ -270,7 +271,7 @@ std::string scheme_to_json(const Scheme& s) {
 
 namespace {
 
-Rational coefficient_from_json(const resilience::JsonValue& value) {
+Rational coefficient_from_json(const JsonValue& value) {
   if (value.is_number()) {
     return rat_make(value.as_i64(), 1);
   }
@@ -297,7 +298,7 @@ Rational coefficient_from_json(const resilience::JsonValue& value) {
   return rat_make(num, den);
 }
 
-RatMat matrix_from_json(const resilience::JsonValue& value,
+RatMat matrix_from_json(const JsonValue& value,
                         std::size_t rows, std::size_t cols,
                         const char* key) {
   FMM_CHECK_MSG(value.is_array(),
@@ -323,7 +324,7 @@ RatMat matrix_from_json(const resilience::JsonValue& value,
   return mat;
 }
 
-std::size_t positive_size_field(const resilience::JsonValue& doc,
+std::size_t positive_size_field(const JsonValue& doc,
                                 const char* key) {
   const std::int64_t value = doc.at(key).as_i64();
   FMM_CHECK_MSG(value > 0,
@@ -334,9 +335,9 @@ std::size_t positive_size_field(const resilience::JsonValue& doc,
 }  // namespace
 
 Scheme parse_scheme_json(const std::string& text) {
-  const resilience::JsonValue doc = resilience::parse_json(text);
+  const JsonValue doc = parse_json(text);
   FMM_CHECK_MSG(doc.is_object(), "scheme: top level must be an object");
-  const resilience::JsonValue& schema = doc.at("schema");
+  const JsonValue& schema = doc.at("schema");
   FMM_CHECK_MSG(schema.is_string() && schema.as_string() == kSchemeSchema,
                 "scheme: \"schema\" must be \"" << kSchemeSchema << "\"");
   const std::int64_t version = doc.at("schema_version").as_i64();
@@ -346,7 +347,7 @@ Scheme parse_scheme_json(const std::string& text) {
                                                       << kSchemeSchemaVersion
                                                       << ")");
   Scheme s;
-  const resilience::JsonValue& name = doc.at("name");
+  const JsonValue& name = doc.at("name");
   FMM_CHECK_MSG(name.is_string() && !name.as_string().empty(),
                 "scheme: \"name\" must be a non-empty string");
   s.name = name.as_string();
@@ -387,7 +388,7 @@ Scheme load_scheme_file(const std::string& path) {
 }
 
 std::string scheme_fingerprint(const Scheme& s) {
-  return resilience::fingerprint64(scheme_to_json(s));
+  return fingerprint64(scheme_to_json(s));
 }
 
 SchemeTraits traits_of(const Scheme& s) {

@@ -3,7 +3,6 @@
 #include <condition_variable>
 #include <deque>
 #include <istream>
-#include <map>
 #include <mutex>
 #include <ostream>
 #include <sstream>
@@ -11,6 +10,7 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "common/timing.hpp"
 #include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
@@ -42,15 +42,6 @@ bool response_is_ok(const std::string& response) {
          response.compare(pos + 6, 4, "true") == 0;
 }
 
-std::uint64_t fnv1a64(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const unsigned char ch : s) {
-    h ^= ch;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 }  // namespace
 
 /// One routed request in flight: the verbatim line (resent as-is on
@@ -78,27 +69,6 @@ struct Router::Slot {
   obs::Histogram* latency = nullptr;
 };
 
-/// Ordered emission, same pattern as QueryService::serve: responses
-/// re-sequence by admission index no matter which worker (or requeue)
-/// produced them.
-struct Router::Emitter {
-  std::mutex mutex;
-  std::condition_variable cv;
-  std::map<std::size_t, std::string> ready;
-  std::size_t next = 0;
-  std::size_t total = 0;
-  bool done_reading = false;
-  std::ostream* out = nullptr;
-
-  void push(std::size_t seq, std::string response) {
-    {
-      const std::scoped_lock lock(mutex);
-      ready.emplace(seq, std::move(response));
-    }
-    cv.notify_all();
-  }
-};
-
 Router::Router(FabricConfig config, Transport& transport)
     : config_(std::move(config)), transport_(transport) {
   FMM_CHECK_MSG(config_.num_workers >= 1,
@@ -121,7 +91,7 @@ Router::~Router() = default;
 
 std::size_t Router::pick_worker(const std::string& canonical,
                                 const std::vector<bool>& alive) {
-  const std::uint64_t key = fnv1a64(canonical);
+  const std::uint64_t key = fnv1a64(canonical, kFnvShortBasis);
   std::uint64_t best_weight = 0;
   std::size_t best = alive.size();
   for (std::size_t k = 0; k < alive.size(); ++k) {
@@ -204,7 +174,7 @@ void Router::mark_dead(std::size_t k) {
 }
 
 void Router::deliver_routed(std::size_t seq, std::string response,
-                            bool response_ok, Emitter& emit) {
+                            bool response_ok, OrderedEmitter<>& emit) {
   bool finished = false;
   {
     const std::scoped_lock lock(mutex_);
@@ -226,7 +196,7 @@ void Router::deliver_routed(std::size_t seq, std::string response,
   }
 }
 
-void Router::reroute(Job job, Emitter& emit) {
+void Router::reroute(Job job, OrderedEmitter<>& emit) {
   const std::size_t seq = job.seq;
   const bool has_id = job.has_id;
   const std::int64_t id = job.id;
@@ -261,7 +231,8 @@ void Router::reroute(Job job, Emitter& emit) {
       false, emit);
 }
 
-void Router::process_job(std::size_t k, Job job, Emitter& emit) {
+void Router::process_job(std::size_t k, Job job,
+                         OrderedEmitter<>& emit) {
   Slot& slot = *slots_[k];
   auto& registry = obs::Registry::instance();
   for (;;) {
@@ -391,28 +362,9 @@ bool Router::serve(std::istream& in, std::ostream& out) {
   }
   registry.gauge("fabric.dead_workers").set(stats_.dead_workers);
 
-  Emitter emit;
-  emit.out = &out;
-  std::thread emitter([&emit] {
-    std::unique_lock<std::mutex> lock(emit.mutex);
-    for (;;) {
-      emit.cv.wait(lock, [&emit] {
-        return emit.ready.count(emit.next) > 0 ||
-               (emit.done_reading && emit.next >= emit.total);
-      });
-      const auto it = emit.ready.find(emit.next);
-      if (it == emit.ready.end()) {
-        return;
-      }
-      std::string response = std::move(it->second);
-      emit.ready.erase(it);
-      ++emit.next;
-      lock.unlock();
-      *emit.out << response << '\n';
-      emit.out->flush();  // clients block on replies; never batch them
-      lock.lock();
-    }
-  });
+  // Responses re-sequence by admission index no matter which worker (or
+  // requeue) produced them.
+  OrderedEmitter<> emit(out);
 
   for (std::size_t k = 0; k < slots_.size(); ++k) {
     slots_[k]->dispatcher = std::thread([this, k, &emit] {
@@ -637,13 +589,7 @@ bool Router::serve(std::istream& in, std::ostream& out) {
     hb_cv.notify_all();
     heartbeat.join();
   }
-  {
-    const std::scoped_lock lock(emit.mutex);
-    emit.done_reading = true;
-    emit.total = seq;
-  }
-  emit.cv.notify_all();
-  emitter.join();
+  emit.finish(seq);
   out.flush();
 
   // Graceful worker teardown: close each channel so workers drain and

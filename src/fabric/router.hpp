@@ -34,9 +34,10 @@
 //     byte-identity; fabric-level aggregates live in extra.fabric).
 //   bound / simulate / liveness / optimal / cdag — routed.
 //
-// Responses are re-sequenced by an ordered emitter (same pattern as
-// QueryService::serve), so the reply stream is in request order no
-// matter which worker answered or how often a request was requeued.
+// Responses are re-sequenced by the OrderedEmitter QueryService::serve
+// also uses (common/ordered_emitter.hpp), so the reply stream is in
+// request order no matter which worker answered or how often a request
+// was requeued.
 // The byte-identity contract — and the chaos tests that pin it — is
 // that a router+N-worker session's output equals a single-process
 // QueryService session's output (after id strip) even with injected
@@ -50,6 +51,7 @@
 #include <string>
 #include <vector>
 
+#include "common/ordered_emitter.hpp"
 #include "fabric/chaos.hpp"
 #include "fabric/transport.hpp"
 #include "obs/run_report.hpp"
@@ -135,16 +137,15 @@ class Router {
 
  private:
   struct Slot;
-  struct Emitter;
   struct Job;
 
   bool ensure_worker(std::size_t k);
   bool probe(Channel& channel);
   void mark_dead(std::size_t k);
-  void process_job(std::size_t k, Job job, Emitter& emit);
-  void reroute(Job job, Emitter& emit);
+  void process_job(std::size_t k, Job job, OrderedEmitter<>& emit);
+  void reroute(Job job, OrderedEmitter<>& emit);
   void deliver_routed(std::size_t seq, std::string response, bool response_ok,
-                      Emitter& emit);
+                      OrderedEmitter<>& emit);
   int alive_count() const;
 
   FabricConfig config_;

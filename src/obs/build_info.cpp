@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "common/json.hpp"
+
 // Compile definitions supplied by src/obs/CMakeLists.txt.  Fallbacks keep
 // the file compilable outside CMake (e.g. IDE syntax-only builds).
 #ifndef FMM_BUILD_GIT
@@ -22,33 +24,6 @@
 
 namespace fmm::obs {
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 const BuildInfo& build_info() {
   static const BuildInfo info = [] {
     BuildInfo b;
@@ -66,12 +41,18 @@ const BuildInfo& build_info() {
 std::string build_info_json() {
   const BuildInfo& b = build_info();
   std::ostringstream os;
-  os << "{\"version\": \"" << json_escape(b.version) << "\""
-     << ", \"git\": \"" << json_escape(b.git) << "\""
-     << ", \"build_type\": \"" << json_escape(b.build_type) << "\""
-     << ", \"preset\": \"" << json_escape(b.preset) << "\""
-     << ", \"compiler\": \"" << json_escape(b.compiler) << "\""
-     << ", \"tracing\": " << (b.tracing ? "true" : "false") << "}";
+  const auto field = [&os](const char* key, const std::string& value) {
+    os << "\"" << key << "\": \"";
+    json_escape(os, value);
+    os << "\", ";
+  };
+  os << "{";
+  field("version", b.version);
+  field("git", b.git);
+  field("build_type", b.build_type);
+  field("preset", b.preset);
+  field("compiler", b.compiler);
+  os << "\"tracing\": " << (b.tracing ? "true" : "false") << "}";
   return os.str();
 }
 

@@ -1,53 +1,18 @@
 #include "obs/run_report.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string_view>
 
 #include "common/check.hpp"
+#include "common/json.hpp"
 #include "common/log.hpp"
 #include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace fmm::obs {
-
-namespace {
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          os << buf;
-        } else {
-          os << ch;
-        }
-    }
-  }
-}
-
-void write_double(std::ostream& os, double value) {
-  // JSON has no inf/nan literals; report them as null.
-  if (!std::isfinite(value)) {
-    os << "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.12g", value);
-  os << buf;
-}
-
-}  // namespace
 
 RunReport::RunReport(std::string name) : name_(std::move(name)) {}
 
@@ -243,6 +208,9 @@ ReportCli parse_report_cli(int argc, char** argv) {
           std::strtoull(argv[++i], nullptr, 10));
     }
   }
+  if (!cli.trace_path.empty()) {
+    enable_tracing_if_available();
+  }
   return cli;
 }
 
@@ -253,23 +221,10 @@ void finalize_run(const ReportCli& cli, RunReport& report) {
     FMM_LOG_INFO("wrote run report to " << cli.out_path);
   }
 #if FMM_TRACING_ENABLED
-  if (Tracer::instance().enabled()) {
-    std::string trace_path = cli.trace_path;
-    if (trace_path.empty() && cli.wants_report()) {
-      trace_path = cli.out_path;
-      const std::string suffix = ".json";
-      if (trace_path.size() > suffix.size() &&
-          trace_path.compare(trace_path.size() - suffix.size(),
-                             suffix.size(), suffix) == 0) {
-        trace_path.resize(trace_path.size() - suffix.size());
-      }
-      trace_path += ".trace.json";
-    }
-    if (!trace_path.empty()) {
-      Tracer::instance().write_file(trace_path);
-      FMM_LOG_INFO("wrote Chrome trace to " << trace_path
-                                            << " (open in Perfetto)");
-    }
+  if (!cli.trace_path.empty() && Tracer::instance().enabled()) {
+    Tracer::instance().write_file(cli.trace_path);
+    FMM_LOG_INFO("wrote Chrome trace to " << cli.trace_path
+                                          << " (open in Perfetto)");
   }
 #endif
 }

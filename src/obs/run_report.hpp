@@ -84,7 +84,8 @@ class RunReport {
 
 /// Common CLI surface for report-emitting binaries:
 ///   --out <path>    write the run report there (default: no report)
-///   --trace <path>  trace destination (default: derived from --out)
+///   --trace <path>  turn the tracer on and write the Chrome trace
+///                   there (default: tracing stays off)
 ///   --seed <u64>    RNG seed (default 1 — fixed, so trajectories are
 ///                   reproducible run-to-run)
 /// Unrecognized arguments are left alone for the binary's own parser.
@@ -96,12 +97,13 @@ struct ReportCli {
   bool wants_report() const { return !out_path.empty(); }
 };
 
+/// Parses the flags above; enables the tracer iff --trace is given.
 ReportCli parse_report_cli(int argc, char** argv);
 
 /// End-of-run bookkeeping: snapshots metrics into `report`, writes the
 /// report to cli.out_path (if set), and — when tracing is compiled in
 /// and runtime-enabled — writes the Chrome trace JSON to cli.trace_path
-/// (default `<out stem>.trace.json`).
+/// (if set).
 void finalize_run(const ReportCli& cli, RunReport& report);
 
 }  // namespace fmm::obs

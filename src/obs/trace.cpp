@@ -2,12 +2,14 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <fstream>
 #include <mutex>
 #include <sstream>
 #include <thread>
 
 #include "common/check.hpp"
+#include "common/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace fmm::obs {
@@ -21,25 +23,6 @@ std::uint32_t current_tid() {
   thread_local const std::uint32_t tid =
       next.fetch_add(1, std::memory_order_relaxed);
   return tid;
-}
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          os << buf;
-        } else {
-          os << ch;
-        }
-    }
-  }
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 
 namespace fmm::resilience {
 
@@ -11,11 +12,7 @@ std::uint64_t splitmix64(std::uint64_t seed, std::uint64_t a,
                          std::uint64_t b) {
   // One SplitMix64 finalization per key component: decorrelated streams
   // for (seed, a, b) without any sequential state.
-  std::uint64_t z = seed + 0x9e3779b97f4a7c15ULL * (a + 1) +
-                    0xbf58476d1ce4e5b9ULL * (b + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  return z ^ (z >> 31);
+  return mix64(seed + kGoldenGamma * (a + 1) + kMixMul1 * (b + 1));
 }
 
 double splitmix_unit(std::uint64_t seed, std::uint64_t a, std::uint64_t b) {

@@ -3,10 +3,10 @@
 #include <utility>
 
 #include "common/check.hpp"
+#include "common/hash.hpp"
 #include "common/timing.hpp"
 #include "obs/metrics.hpp"
 #include "obs/telemetry.hpp"
-#include "resilience/checkpoint.hpp"
 
 namespace fmm::service {
 
@@ -77,22 +77,15 @@ ContentCache::ContentCache(CacheConfig config) : config_(config) {
 
 std::string ContentCache::cdag_key(const std::string& algorithm,
                                    std::size_t n) {
-  return "cdag/" + resilience::fingerprint64(algorithm + "|" +
-                                             std::to_string(n));
+  return "cdag/" + fingerprint64(algorithm + "|" + std::to_string(n));
 }
 
 std::string ContentCache::result_key(const std::string& canonical_request) {
-  return "result/" + resilience::fingerprint64(canonical_request);
+  return "result/" + fingerprint64(canonical_request);
 }
 
 ContentCache::Shard& ContentCache::shard_for(const std::string& key) {
-  // The key's tail is already an FNV-1a hex fingerprint, so a cheap
-  // polynomial re-hash spreads shards evenly.
-  std::size_t h = 1469598103934665603ull;
-  for (const char ch : key) {
-    h = (h ^ static_cast<unsigned char>(ch)) * 1099511628211ull;
-  }
-  return *shards_[h % shards_.size()];
+  return *shards_[fnv1a64(key, kFnvShortBasis) % shards_.size()];
 }
 
 void ContentCache::touch_locked(Shard& shard,
@@ -116,15 +109,14 @@ void ContentCache::insert_locked(Shard& shard, Entry entry) {
   }
 }
 
-std::shared_ptr<const cdag::Cdag> ContentCache::get_or_build_cdag(
-    const std::string& key, const std::function<cdag::Cdag()>& build) {
-  obs::PhaseFrame* frame = obs::current_phase_frame();
+ContentCache::Entry ContentCache::get_or_build(
+    const std::string& key, const std::function<Entry()>& build,
+    std::int64_t* wait_ns, std::int64_t* build_ns) {
   if (config_.memory_budget_bytes == 0) {
     misses_counter().increment();
     note_miss();
-    const ScopedNsAccumulator build_timer(
-        frame != nullptr ? &frame->cdag_build_ns : nullptr);
-    return std::make_shared<const cdag::Cdag>(build());
+    const ScopedNsAccumulator build_timer(build_ns);
+    return build();
   }
   Shard& shard = shard_for(key);
   std::unique_lock<std::mutex> lock(shard.mutex);
@@ -134,82 +126,70 @@ std::shared_ptr<const cdag::Cdag> ContentCache::get_or_build_cdag(
       touch_locked(shard, it->second);
       hits_counter().increment();
       note_hit();
-      return it->second->cdag;
+      return *it->second;
     }
     if (!shard.building.count(key)) {
       break;
     }
     // Single-flight: wait for the in-flight build of this key.  If it
     // throws, waiters wake to no entry and no builder, and retry.
-    // The waited time is attributed to the current request's span so
-    // coalesced requests are distinguishable from fresh builds.
-    const ScopedNsAccumulator wait_timer(
-        frame != nullptr ? &frame->singleflight_wait_ns : nullptr);
+    const ScopedNsAccumulator wait_timer(wait_ns);
     shard.build_done.wait(lock);
   }
   misses_counter().increment();
   note_miss();
   shard.building.insert(key);
   lock.unlock();
-  std::shared_ptr<const cdag::Cdag> built;
+  Entry entry;
   try {
-    const ScopedNsAccumulator build_timer(
-        frame != nullptr ? &frame->cdag_build_ns : nullptr);
-    built = std::make_shared<const cdag::Cdag>(build());
+    const ScopedNsAccumulator build_timer(build_ns);
+    entry = build();
   } catch (...) {
     lock.lock();
     shard.building.erase(key);
     shard.build_done.notify_all();
     throw;
   }
-  Entry entry;
-  entry.cdag = built;
   entry.key = key;
-  entry.bytes = cdag_memory_bytes(*built);
   lock.lock();
   shard.building.erase(key);
   shard.build_done.notify_all();
   if (!shard.index.count(key)) {
-    insert_locked(shard, std::move(entry));
+    insert_locked(shard, entry);
   }
-  return built;
+  return entry;
 }
 
-std::shared_ptr<const std::string> ContentCache::get_payload(
-    const std::string& key) {
-  if (config_.memory_budget_bytes == 0) {
-    misses_counter().increment();
-    note_miss();
-    return nullptr;
-  }
-  Shard& shard = shard_for(key);
-  const std::scoped_lock lock(shard.mutex);
-  const auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    misses_counter().increment();
-    note_miss();
-    return nullptr;
-  }
-  touch_locked(shard, it->second);
-  hits_counter().increment();
-  note_hit();
-  return it->second->payload;
+std::shared_ptr<const cdag::Cdag> ContentCache::get_or_build_cdag(
+    const std::string& key, const std::function<cdag::Cdag()>& build) {
+  // The waited time is attributed to the current request's span so
+  // coalesced requests are distinguishable from fresh builds.
+  obs::PhaseFrame* frame = obs::current_phase_frame();
+  return get_or_build(
+             key,
+             [&build] {
+               Entry entry;
+               entry.cdag = std::make_shared<const cdag::Cdag>(build());
+               entry.bytes = cdag_memory_bytes(*entry.cdag);
+               return entry;
+             },
+             frame != nullptr ? &frame->singleflight_wait_ns : nullptr,
+             frame != nullptr ? &frame->cdag_build_ns : nullptr)
+      .cdag;
 }
 
-void ContentCache::put_payload(const std::string& key, std::string payload) {
-  if (config_.memory_budget_bytes == 0) {
-    return;
-  }
-  Shard& shard = shard_for(key);
-  Entry entry;
-  entry.key = key;
-  entry.bytes = key.size() + payload.size() + sizeof(Entry);
-  entry.payload = std::make_shared<const std::string>(std::move(payload));
-  const std::scoped_lock lock(shard.mutex);
-  if (shard.index.count(key)) {
-    return;  // another thread landed the identical bytes first
-  }
-  insert_locked(shard, std::move(entry));
+std::shared_ptr<const std::string> ContentCache::get_or_build_payload(
+    const std::string& key, const std::function<std::string()>& render) {
+  return get_or_build(
+             key,
+             [&key, &render] {
+               Entry entry;
+               entry.payload = std::make_shared<const std::string>(render());
+               entry.bytes = key.size() + entry.payload->size() + sizeof(Entry);
+               return entry;
+             },
+             nullptr, nullptr)
+      .payload;
 }
 
 CacheStats ContentCache::stats() const {

@@ -28,9 +28,9 @@
 // A zero budget disables retention entirely (every lookup misses); the
 // bench's "cold" arm and sweep's ephemeral sources use that.
 //
-// CDAG builds are single-flighted per key: concurrent requests for the
-// same missing CDAG wait on the one in-flight build instead of
-// duplicating it.  Hits/misses/evictions feed the obs metrics registry
+// Both kinds share one single-flight miss path: concurrent requests for
+// the same missing CDAG or payload wait on the one in-flight build
+// instead of duplicating it.  Hits/misses/evictions feed the obs metrics registry
 // (service.cache.*), so run reports expose cache effectiveness.
 #pragma once
 
@@ -88,11 +88,11 @@ class ContentCache {
   /// Exceptions from `build` propagate and cache nothing.
   std::shared_ptr<const cdag::Cdag> get_or_build_cdag(
       const std::string& key, const std::function<cdag::Cdag()>& build);
-
-  /// Looks up a rendered payload; returns nullptr on miss.
-  std::shared_ptr<const std::string> get_payload(const std::string& key);
-  /// Retains a rendered payload under `key` (no-op at zero budget).
-  void put_payload(const std::string& key, std::string payload);
+  /// The rendered payload at `key`, running `render` on a miss, through
+  /// the same single-flight miss path: concurrent identical requests
+  /// render once and the rest replay those bytes as hits.
+  std::shared_ptr<const std::string> get_or_build_payload(
+      const std::string& key, const std::function<std::string()>& render);
 
   /// Point-in-time totals across shards (also mirrored in the metrics
   /// registry as service.cache.*).
@@ -113,12 +113,20 @@ class ContentCache {
     std::list<Entry> lru;  // front = most recently used
     std::unordered_map<std::string, std::list<Entry>::iterator> index;
     std::size_t bytes = 0;
-    // Single-flight state for CDAG builds.
+    // Single-flight state: keys whose build is in progress.
     std::unordered_set<std::string> building;
     std::condition_variable build_done;
   };
 
   Shard& shard_for(const std::string& key);
+  /// The one miss path for both entry kinds: the entry at `key`, or the
+  /// one `build` returns, with at most one concurrent build per key.
+  /// Time spent waiting on another caller's build accumulates into
+  /// `*wait_ns`, time spent building into `*build_ns` (either may be
+  /// nullptr).
+  Entry get_or_build(const std::string& key,
+                     const std::function<Entry()>& build,
+                     std::int64_t* wait_ns, std::int64_t* build_ns);
   /// Inserts at the front of `shard`'s LRU and evicts from the back
   /// until the shard budget holds (never evicting the new entry).
   /// Caller holds the shard mutex.

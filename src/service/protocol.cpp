@@ -1,33 +1,13 @@
 #include "service/protocol.hpp"
 
-#include <cstdio>
 #include <sstream>
 
 #include "common/check.hpp"
-#include "resilience/checkpoint.hpp"
+#include "common/json.hpp"
 
 namespace fmm::service {
 
 namespace {
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          os << buf;
-        } else {
-          os << ch;
-        }
-    }
-  }
-}
 
 [[noreturn]] void usage(const std::string& message) {
   throw ProtocolError("usage_error: " + message);
@@ -80,7 +60,7 @@ bool field_allowed(Op op, const std::string& field) {
   return false;
 }
 
-std::int64_t integer_field(const resilience::JsonValue& value,
+std::int64_t integer_field(const JsonValue& value,
                            const char* field) {
   if (!value.is_number()) {
     usage(std::string(field) + " must be an integer");
@@ -117,16 +97,16 @@ const char* op_name(Op op) {
 }
 
 Request parse_request(const std::string& line) {
-  resilience::JsonValue doc;
+  JsonValue doc;
   try {
-    doc = resilience::parse_json(line);
+    doc = parse_json(line);
   } catch (const CheckError& e) {
     usage(std::string("request is not valid JSON (") + e.what() + ")");
   }
   if (!doc.is_object()) {
     usage("request must be a JSON object");
   }
-  const resilience::JsonValue* op_value = doc.find("op");
+  const JsonValue* op_value = doc.find("op");
   if (op_value == nullptr || !op_value->is_string()) {
     usage("request needs a string 'op' field");
   }

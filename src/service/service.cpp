@@ -1,21 +1,19 @@
 #include "service/service.hpp"
 
 #include <atomic>
-#include <cmath>
-#include <condition_variable>
-#include <cstdio>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
-#include <thread>
 #include <utility>
 
 #include "bounds/formulas.hpp"
 #include "cdag/builder.hpp"
 #include "common/check.hpp"
+#include "common/json.hpp"
 #include "common/log.hpp"
 #include "common/math_util.hpp"
+#include "common/ordered_emitter.hpp"
 #include "obs/build_info.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -34,16 +32,6 @@ namespace fmm::service {
 
 namespace {
 
-void write_double(std::ostream& os, double value) {
-  if (!std::isfinite(value)) {
-    os << "null";
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.12g", value);
-  os << buf;
-}
-
 bool blank(const std::string& line) {
   for (const char ch : line) {
     if (ch != ' ' && ch != '\t' && ch != '\r') {
@@ -51,25 +39,6 @@ bool blank(const std::string& line) {
     }
   }
   return true;
-}
-
-void json_escape(std::ostream& os, const std::string& s) {
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          os << buf;
-        } else {
-          os << ch;
-        }
-    }
-  }
 }
 
 /// True iff n == base^k for some k >= 0 (base >= 2).
@@ -504,34 +473,29 @@ std::string QueryService::compute_response(
     if (op_needs_cdag(request.op)) {
       normalized.algorithm = canonical_algorithm_key(request.algorithm);
     }
-    std::int64_t lookup_ns = 0;
-    std::string key;
-    std::shared_ptr<const std::string> cached;
-    {
-      const ScopedNsAccumulator lookup_timer(&lookup_ns);
-      key = ContentCache::result_key(canonical_request(normalized));
-      cached = cache_.get_payload(key);
-    }
+    // One single-flight lookup-or-compute: an identical request already
+    // computing elsewhere is waited for and replayed as a hit.  The
+    // lookup phase is the call minus the compute it ran.
+    std::int64_t compute_ns = 0;
+    bool computed = false;
+    const Stopwatch lookup;
+    const std::shared_ptr<const std::string> result =
+        cache_.get_or_build_payload(
+            ContentCache::result_key(canonical_request(normalized)), [&] {
+              const ScopedNsAccumulator compute_timer(&compute_ns);
+              computed = true;
+              return compute_result(normalized);
+            });
     if (telemetry != nullptr) {
-      telemetry->phase(obs::Phase::kCacheLookup) = lookup_ns;
+      telemetry->phase(obs::Phase::kCacheLookup) =
+          lookup.nanoseconds() - compute_ns;
+      telemetry->cache = !computed ? obs::CacheVerdict::kHit
+                         : frame.singleflight_wait_ns > 0
+                             ? obs::CacheVerdict::kMissCoalesced
+                             : obs::CacheVerdict::kMiss;
     }
-    if (cached) {
-      if (telemetry != nullptr) {
-        telemetry->cache = obs::CacheVerdict::kHit;
-      }
-      record_response(op_name(request.op), true);
-      response = ok_response(request, *cached);
-    } else {
-      std::string result = compute_result(normalized);
-      cache_.put_payload(key, result);
-      if (telemetry != nullptr) {
-        telemetry->cache = frame.singleflight_wait_ns > 0
-                               ? obs::CacheVerdict::kMissCoalesced
-                               : obs::CacheVerdict::kMiss;
-      }
-      record_response(op_name(request.op), true);
-      response = ok_response(request, result);
-    }
+    record_response(op_name(request.op), true);
+    response = ok_response(request, *result);
   } catch (const std::exception& e) {
     record_response(op_name(request.op), false);
     if (telemetry != nullptr) {
@@ -594,62 +558,20 @@ std::string QueryService::handle_line(const std::string& line) {
 bool QueryService::serve(std::istream& in, std::ostream& out) {
   FMM_TRACE_SPAN("service.serve", "service");
 
-  // Ordered emission: every admitted line gets a sequence number; a
-  // dedicated emitter writes ready responses strictly in that order, so
-  // concurrent compute on the pool never reorders the reply stream.
-  // The emitter also finalizes each request's telemetry record (emit
-  // phase + bytes out) AFTER the response bytes are rendered and
-  // written — telemetry can never reach canonical response bytes.
-  struct Pending {
-    std::string response;
-    obs::RequestTelemetry telemetry;
-  };
-  struct Emitter {
-    std::mutex mutex;
-    std::condition_variable ready_cv;
-    std::map<std::size_t, Pending> ready;
-    std::size_t next = 0;
-    std::size_t total = 0;
-    bool done_reading = false;
-  } emit;
-  std::thread emitter([&] {
-    std::unique_lock<std::mutex> lock(emit.mutex);
-    for (;;) {
-      emit.ready_cv.wait(lock, [&] {
-        return emit.ready.count(emit.next) > 0 ||
-               (emit.done_reading && emit.next >= emit.total);
+  // Ordered emission: every admitted line gets a sequence number and
+  // the emitter writes responses strictly in that order, so concurrent
+  // compute on the pool never reorders the reply stream.  Its sink
+  // finalizes each request's telemetry record (emit phase + bytes out)
+  // AFTER the response bytes are written — telemetry can never reach
+  // canonical response bytes.
+  OrderedEmitter<obs::RequestTelemetry> emit(
+      out, [this](obs::RequestTelemetry& telemetry, const std::string& line,
+                  std::int64_t write_ns) {
+        telemetry.phase(obs::Phase::kEmit) += write_ns;
+        telemetry.bytes_out = static_cast<std::int64_t>(line.size()) + 1;
+        telemetry.total_ns += telemetry.phase(obs::Phase::kEmit);
+        telemetry_.record(telemetry);
       });
-      const auto it = emit.ready.find(emit.next);
-      if (it == emit.ready.end()) {
-        return;  // done_reading and everything emitted
-      }
-      Pending pending = std::move(it->second);
-      emit.ready.erase(it);
-      ++emit.next;
-      lock.unlock();
-      {
-        const ScopedNsAccumulator emit_timer(
-            &pending.telemetry.phase(obs::Phase::kEmit));
-        out << pending.response << '\n';
-        out.flush();  // clients block on replies; never batch them
-      }
-      pending.telemetry.bytes_out =
-          static_cast<std::int64_t>(pending.response.size()) + 1;
-      pending.telemetry.total_ns +=
-          pending.telemetry.phase(obs::Phase::kEmit);
-      telemetry_.record(pending.telemetry);
-      lock.lock();
-    }
-  });
-  const auto deliver = [&emit](std::size_t seq, std::string response,
-                               obs::RequestTelemetry telemetry) {
-    {
-      const std::scoped_lock lock(emit.mutex);
-      emit.ready.emplace(
-          seq, Pending{std::move(response), telemetry});
-    }
-    emit.ready_cv.notify_all();
-  };
 
   auto& queue_depth_gauge =
       obs::Registry::instance().gauge("service.queue_depth");
@@ -681,7 +603,7 @@ bool QueryService::serve(std::istream& in, std::ostream& out) {
       rec.op = "invalid";
       rec.ok = false;
       rec.total_ns = admitted.nanoseconds();
-      deliver(index, error_response(false, 0, e.what()), rec);
+      emit.push(index, error_response(false, 0, e.what()), rec);
       continue;
     }
     rec.op = op_name(request.op);
@@ -689,7 +611,7 @@ bool QueryService::serve(std::istream& in, std::ostream& out) {
     rec.id = request.id;
     if (auto response = pre_compute_response(request, &shutdown, &rec)) {
       rec.total_ns = admitted.nanoseconds();
-      deliver(index, std::move(*response), rec);
+      emit.push(index, std::move(*response), rec);
       continue;
     }
     // Bounded admission: explicit backpressure beats an unbounded queue
@@ -703,17 +625,17 @@ bool QueryService::serve(std::istream& in, std::ostream& out) {
       record_response(op_name(request.op), false);
       rec.ok = false;
       rec.total_ns = admitted.nanoseconds();
-      deliver(index,
-              error_response(request.has_id, request.id,
-                             "rejected: queue_full"),
-              rec);
+      emit.push(index,
+                error_response(request.has_id, request.id,
+                               "rejected: queue_full"),
+                rec);
       continue;
     }
     queue_depth_gauge.record_max(
         in_flight_.fetch_add(1, std::memory_order_acq_rel) + 1);
-    // deliver is captured by reference: serve() joins the pool
+    // emit is captured by reference: serve() joins the pool
     // (wait_idle) before it goes out of scope.
-    pool_.submit([this, &deliver, request, index, rec,
+    pool_.submit([this, &emit, request, index, rec,
                   queued = Stopwatch()]() mutable {
       rec.phase(obs::Phase::kQueueWait) = queued.nanoseconds();
       const Stopwatch run;
@@ -722,20 +644,14 @@ bool QueryService::serve(std::istream& in, std::ostream& out) {
                      rec.phase(obs::Phase::kQueueWait) +
                      run.nanoseconds();
       in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-      deliver(index, std::move(response), rec);
+      emit.push(index, std::move(response), rec);
     });
   }
 
   // Graceful drain: no new admissions past this point; every admitted
   // request finishes on the pool and reaches the client before return.
   pool_.wait_idle();
-  {
-    const std::scoped_lock lock(emit.mutex);
-    emit.done_reading = true;
-    emit.total = seq;
-  }
-  emit.ready_cv.notify_all();
-  emitter.join();
+  emit.finish(seq);
   out.flush();
 
   auto& registry = obs::Registry::instance();

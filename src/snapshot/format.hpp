@@ -42,11 +42,12 @@
 // the exact in-memory layout of CsrGraph / SubproblemLevel.
 //
 // Checksum (snap_checksum): 8-lane FNV-1a-64 folded over 64-bit words.
-// Lane j starts at (FNV offset basis ^ (j+1)); blocks of 64 bytes feed
-// word w_j (bytes [8j, 8j+8) of the block, writer byte order) into lane
-// j as h = (h ^ w_j) * FNV prime; trailing bytes fold byte-wise into
-// lane 0; the lanes then fold into a fresh basis in order, followed by
-// the byte length.  The lanes exist purely for speed (a single FNV
+// Lane j starts at (kFnvShortBasis ^ (j+1)) — common/hash.hpp's offset
+// basis one digit short, kept because checksums are persisted; blocks
+// of 64 bytes feed word w_j (bytes [8j, 8j+8) of the block, writer byte
+// order) into lane j as h = (h ^ w_j) * FNV prime; trailing bytes fold
+// byte-wise into lane 0; the lanes then fold into a fresh basis in
+// order, followed by the byte length.  The lanes exist purely for speed (a single FNV
 // chain is latency-bound at ~1 byte/cycle; eight interleaved chains
 // verify at memory bandwidth) — the result is still deterministic and
 // byte-order-pinned by the header's endianness tag.

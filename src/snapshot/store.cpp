@@ -12,6 +12,7 @@
 #endif
 
 #include "common/check.hpp"
+#include "common/json.hpp"
 #include "obs/metrics.hpp"
 
 namespace fmm::snapshot {
@@ -28,37 +29,6 @@ bool has_snapshot_suffix(const fs::path& p) {
   return name.size() > suffix.size() &&
          name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
              0;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 struct Census {
@@ -234,7 +204,9 @@ std::string SnapshotStore::stats_json() const {
   }
   std::ostringstream oss;
   oss << "{\"schema\":\"fmm.snapshot\",\"version\":1"
-      << ",\"directory\":\"" << json_escape(config_.directory) << "\""
+      << ",\"directory\":\"";
+  json_escape(oss, config_.directory);
+  oss << "\""
       << ",\"lookups\":" << registry.counter("snapshot.lookups").value()
       << ",\"hits\":" << registry.counter("snapshot.hits").value()
       << ",\"misses\":" << registry.counter("snapshot.misses").value()

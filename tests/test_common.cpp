@@ -1,12 +1,18 @@
-// Unit tests for src/common: checked math, RNG determinism, tables.
+// Unit tests for src/common: checked math, RNG determinism, tables,
+// the shared JSON writer primitives and the ordered emitter.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
+#include <thread>
+#include <vector>
 
 #include "common/check.hpp"
+#include "common/json.hpp"
 #include "common/math_util.hpp"
+#include "common/ordered_emitter.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "common/timing.hpp"
@@ -268,6 +274,82 @@ TEST(Stopwatch, MeasuresElapsed) {
   (void)sink;
   EXPECT_GE(sw.nanoseconds(), 0);
   EXPECT_GE(sw.seconds(), 0.0);
+}
+
+TEST(Json, WriteJsonRoundTripsBytes) {
+  // Ids beyond 2^53, long fractions and escaped control characters must
+  // come back exactly as they went in (`fmmio tail` re-emits records).
+  const std::string text =
+      "{\"id\": 9007199254740993, \"x\": 0.123456789, \"s\": \"a\\tb\"}";
+  std::ostringstream os;
+  write_json(os, parse_json(text));
+  EXPECT_EQ(os.str(), text);
+}
+
+TEST(Json, WriteJsonEchoesFullRangeIntegersAndNesting) {
+  const std::string text =
+      "{\"max\": 9223372036854775807, \"umax\": 18446744073709551615, "
+      "\"neg\": -9223372036854775808, \"e\": 1.5e-300, "
+      "\"k\\\"ey\": [true, false, null, [], {}], \"ctl\": \"\\u0001\\n\"}";
+  std::ostringstream os;
+  write_json(os, parse_json(text));
+  EXPECT_EQ(os.str(), text);
+}
+
+TEST(Json, EscapeAndDoubles) {
+  std::ostringstream os;
+  json_escape(os, "q\"b\\n\nt\tr\r\x01");
+  EXPECT_EQ(os.str(), "q\\\"b\\\\n\\nt\\tr\\u000d\\u0001");
+  std::ostringstream d;
+  write_double(d, 0.1);
+  d << ' ';
+  write_double(d, 1.0 / 3.0);
+  d << ' ';
+  write_double(d, std::numeric_limits<double>::infinity());
+  d << ' ';
+  write_double(d, std::nan(""));
+  EXPECT_EQ(d.str(), "0.1 0.333333333333 null null");
+}
+
+TEST(OrderedEmitter, WritesInSeqOrderAndSinksAfterWrite) {
+  std::ostringstream out;
+  std::vector<int> sunk;
+  std::vector<std::size_t> bytes_seen;
+  {
+    OrderedEmitter<int> emit(
+        out, [&](int& meta, const std::string& line, std::int64_t write_ns) {
+          EXPECT_GE(write_ns, 0);
+          // The line is already on the stream when the sink runs.
+          EXPECT_NE(out.str().find(line + "\n"), std::string::npos);
+          sunk.push_back(meta);
+          bytes_seen.push_back(line.size());
+        });
+    std::vector<std::thread> producers;
+    for (int seq : {3, 1, 4, 0, 2}) {
+      producers.emplace_back([&emit, seq] {
+        emit.push(static_cast<std::size_t>(seq),
+                  "line" + std::string(static_cast<std::size_t>(seq), '+'),
+                  seq * 10);
+      });
+    }
+    for (auto& t : producers) {
+      t.join();
+    }
+    emit.finish(5);
+  }
+  EXPECT_EQ(out.str(), "line\nline+\nline++\nline+++\nline++++\n");
+  EXPECT_EQ(sunk, (std::vector<int>{0, 10, 20, 30, 40}));
+  EXPECT_EQ(bytes_seen, (std::vector<std::size_t>{4, 5, 6, 7, 8}));
+}
+
+TEST(OrderedEmitter, DestructorWithoutFinishDrainsContiguousPrefix) {
+  std::ostringstream out;
+  {
+    OrderedEmitter<> emit(out);
+    emit.push(0, "a");
+    emit.push(2, "c");
+  }
+  EXPECT_EQ(out.str(), "a\n");
 }
 
 }  // namespace

@@ -396,6 +396,15 @@ TEST(RunReport, CliParsing) {
   EXPECT_EQ(cli.trace_path, "t.json");
   EXPECT_EQ(cli.seed, 9u);
   EXPECT_TRUE(cli.wants_report());
+  // --trace is the one switch that turns the tracer on.
+  EXPECT_EQ(Tracer::instance().enabled(), FMM_TRACING_ENABLED != 0);
+  Tracer::instance().enable(false);
+
+  const char* out_only[] = {"prog", "--out", "r.json"};
+  const ReportCli report_only =
+      parse_report_cli(3, const_cast<char**>(out_only));
+  EXPECT_TRUE(report_only.trace_path.empty());
+  EXPECT_FALSE(Tracer::instance().enabled()) << "--out must not trace";
 
   const char* bare[] = {"prog"};
   const ReportCli none = parse_report_cli(1, const_cast<char**>(bare));

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -54,11 +55,17 @@ TEST(ServiceCache, PayloadRoundTrip) {
   obs::Registry::instance().reset();
   ContentCache cache;
   const std::string key = ContentCache::result_key("some request");
-  EXPECT_EQ(cache.get_payload(key), nullptr);
-  cache.put_payload(key, "{\"x\": 1}");
-  const auto hit = cache.get_payload(key);
+  int renders = 0;
+  const auto render = [&renders] {
+    ++renders;
+    return std::string("{\"x\": 1}");
+  };
+  const auto miss = cache.get_or_build_payload(key, render);
+  const auto hit = cache.get_or_build_payload(key, render);
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(*hit, "{\"x\": 1}");
+  EXPECT_EQ(hit.get(), miss.get()) << "a hit replays the retained bytes";
+  EXPECT_EQ(renders, 1);
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1);
   EXPECT_EQ(stats.misses, 1);
@@ -71,8 +78,14 @@ TEST(ServiceCache, ZeroBudgetDisablesRetention) {
   CacheConfig config;
   config.memory_budget_bytes = 0;
   ContentCache cache(config);
-  cache.put_payload("result/deadbeef", "payload");
-  EXPECT_EQ(cache.get_payload("result/deadbeef"), nullptr);
+  int renders = 0;
+  const auto render = [&renders] {
+    ++renders;
+    return std::string("payload");
+  };
+  cache.get_or_build_payload("result/deadbeef", render);
+  cache.get_or_build_payload("result/deadbeef", render);
+  EXPECT_EQ(renders, 2) << "zero budget must not retain payloads";
   std::atomic<int> builds{0};
   const auto build = [&] {
     ++builds;
@@ -94,14 +107,21 @@ TEST(ServiceCache, EvictsOldestButNeverTheNewEntry) {
   config.shards = 1;  // all keys in one LRU so recency order is total
   config.memory_budget_bytes = 1;  // any entry is oversized
   ContentCache cache(config);
-  cache.put_payload("result/a", "aaaa");
-  cache.put_payload("result/b", "bbbb");
+  cache.get_or_build_payload("result/a", [] { return std::string("aaaa"); });
+  cache.get_or_build_payload("result/b", [] { return std::string("bbbb"); });
   // The oversized newcomer is admitted alone instead of thrashing.
-  EXPECT_EQ(cache.get_payload("result/a"), nullptr);
-  ASSERT_NE(cache.get_payload("result/b"), nullptr);
+  int renders = 0;
+  const auto rerender = [&renders] {
+    ++renders;
+    return std::string("again");
+  };
+  EXPECT_EQ(*cache.get_or_build_payload("result/b", rerender), "bbbb");
+  EXPECT_EQ(renders, 0) << "the newcomer stays retained";
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries, 1);
   EXPECT_EQ(stats.evictions, 1);
+  EXPECT_EQ(*cache.get_or_build_payload("result/a", rerender), "again");
+  EXPECT_EQ(renders, 1) << "the oldest entry was evicted";
 }
 
 TEST(ServiceCache, SingleFlightBuildsOnce) {
@@ -147,6 +167,41 @@ TEST(ServiceCache, FailedBuildCachesNothingAndUnblocksWaiters) {
   EXPECT_EQ(built->n, 4u);
 }
 
+TEST(ServiceCache, SingleFlightPayloadRendersOnce) {
+  obs::Registry::instance().reset();
+  ContentCache cache;
+  const std::string key = ContentCache::result_key("one request");
+  std::atomic<int> renders{0};
+  std::atomic<int> started{0};
+  constexpr int kThreads = 8;
+  std::vector<std::thread> threads;
+  std::vector<std::shared_ptr<const std::string>> got(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ++started;
+      while (started.load() < kThreads) {
+      }
+      got[static_cast<std::size_t>(t)] = cache.get_or_build_payload(key, [&] {
+        ++renders;
+        // Long enough that every other caller arrives mid-render.
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        return std::string("rendered");
+      });
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(renders.load(), 1);
+  for (const auto& payload : got) {
+    ASSERT_NE(payload, nullptr);
+    EXPECT_EQ(payload.get(), got[0].get());
+  }
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1);
+  EXPECT_EQ(stats.hits, kThreads - 1);
+}
+
 TEST(ServiceCache, HitMissEvictStress) {
   obs::Registry::instance().reset();
   CacheConfig config;
@@ -164,11 +219,14 @@ TEST(ServiceCache, HitMissEvictStress) {
         // interleavings on every shard.
         const std::string key =
             ContentCache::result_key("stress/" + std::to_string((t + i) % 16));
-        if (const auto hit = cache.get_payload(key)) {
+        bool rendered = false;
+        const auto payload = cache.get_or_build_payload(key, [&rendered] {
+          rendered = true;
+          return std::string(64, 'x');
+        });
+        EXPECT_EQ(payload->size(), 64u);
+        if (!rendered) {
           ++observed_hits;
-          EXPECT_EQ(hit->size(), 64u);
-        } else {
-          cache.put_payload(key, std::string(64, 'x'));
         }
       }
     });
@@ -412,6 +470,33 @@ TEST(QueryService, StatsAndReportSectionStayConsistent) {
   EXPECT_NE(json.find("\"service\": {"), std::string::npos);
   EXPECT_NE(json.find("\"meta\": {\"build\": {"), std::string::npos)
       << "every report must carry build provenance";
+}
+
+TEST(QueryService, IdenticalConcurrentRequestsMissOnce) {
+  obs::Registry::instance().reset();
+  ServiceConfig config;
+  config.num_threads = 8;
+  service::QueryService service(config);
+  // Warm the CDAG so the result payload is the only entry left to miss.
+  service.handle_line(
+      "{\"op\": \"cdag\", \"algorithm\": \"strassen\", \"n\": 16}");
+  const std::int64_t misses_before = service.cache().stats().misses;
+  constexpr int kRequests = 8;
+  std::string input;
+  for (int i = 0; i < kRequests; ++i) {
+    input += "{\"op\": \"simulate\", \"algorithm\": \"strassen\", "
+             "\"n\": 16, \"m\": 64}\n";
+  }
+  std::istringstream in(input);
+  std::ostringstream out;
+  service.serve(in, out);
+  const std::vector<std::string> responses = lines_of(out.str());
+  ASSERT_EQ(responses.size(), static_cast<std::size_t>(kRequests));
+  for (const std::string& response : responses) {
+    EXPECT_EQ(response, responses[0]);
+  }
+  EXPECT_EQ(service.cache().stats().misses - misses_before, 1)
+      << "identical concurrent requests must share one computation";
 }
 
 TEST(QueryService, SweepSharesTheCdagCache) {

@@ -159,6 +159,18 @@ TEST(SnapshotFormat, ChecksumSeparatesNearbyInputs) {
   EXPECT_NE(reference, snap_checksum(data.data(), data.size() - 8));
 }
 
+TEST(SnapshotFormat, ChecksumIsPinned) {
+  // The checksum is stored in every fmm.snap file; these values were
+  // taken from the original implementation and may never change.
+  unsigned char bytes[200];
+  for (std::size_t i = 0; i < sizeof(bytes); ++i) {
+    bytes[i] = static_cast<unsigned char>(i * 37 + 11);
+  }
+  EXPECT_EQ(snap_checksum(bytes, 0), 0x3f22a6244a979fb9ULL);
+  EXPECT_EQ(snap_checksum(bytes, 7), 0x190a41a89416d99aULL);
+  EXPECT_EQ(snap_checksum(bytes, 200), 0x43dd981db58a7919ULL);
+}
+
 TEST(SnapshotStore, MissPublishHitAccounting) {
   const std::string dir = fresh_dir("accounting");
   SnapshotStore store({dir, 0, Verify::kFull});

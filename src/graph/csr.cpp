@@ -287,49 +287,4 @@ CsrGraph GraphBuilder::freeze() {
   return g;
 }
 
-CsrGraph csr_from_digraph(const Digraph& d) {
-  const std::size_t nv = d.num_vertices();
-  std::vector<std::uint32_t> out_offsets(nv + 1, 0);
-  std::vector<std::uint32_t> in_offsets(nv + 1, 0);
-  std::vector<VertexId> out_edges;
-  std::vector<VertexId> in_edges;
-  out_edges.reserve(d.num_edges());
-  in_edges.reserve(d.num_edges());
-  // Copy each direction's per-vertex list verbatim: both neighbor orders
-  // survive exactly (a single global edge replay could only preserve one).
-  for (VertexId v = 0; v < nv; ++v) {
-    for (const VertexId w : d.out_neighbors(v)) {
-      FMM_CHECK_MSG(v < w, "edge (" << v << "," << w
-                                    << ") violates topological append order");
-      out_edges.push_back(w);
-    }
-    out_offsets[v + 1] = static_cast<std::uint32_t>(out_edges.size());
-    for (const VertexId u : d.in_neighbors(v)) {
-      in_edges.push_back(u);
-    }
-    in_offsets[v + 1] = static_cast<std::uint32_t>(in_edges.size());
-  }
-  check_no_parallel_edges(out_offsets, out_edges, nv);
-  CsrGraph g;
-  g.out_offsets_ = std::move(out_offsets);
-  g.in_offsets_ = std::move(in_offsets);
-  g.out_edges_ = std::move(out_edges);
-  g.in_edges_ = std::move(in_edges);
-  record_freeze_metrics(g, 0);
-  return g;
-}
-
-Digraph digraph_from_csr(const CsrGraph& g) {
-  const std::size_t nv = g.num_vertices();
-  std::vector<std::vector<VertexId>> out(nv);
-  std::vector<std::vector<VertexId>> in(nv);
-  for (VertexId v = 0; v < nv; ++v) {
-    const auto outs = g.out_neighbors(v);
-    out[v].assign(outs.begin(), outs.end());
-    const auto ins = g.in_neighbors(v);
-    in[v].assign(ins.begin(), ins.end());
-  }
-  return Digraph(std::move(out), std::move(in));
-}
-
 }  // namespace fmm::graph

@@ -1,12 +1,10 @@
-// Immutable CSR (compressed sparse row) graph — the frozen representation
-// every CDAG consumer traverses.
+// Immutable CSR (compressed sparse row) graph — the one graph type; every
+// CDAG consumer traverses it.
 //
-// The mutable Digraph's vector-of-vectors adjacency pays one heap
-// allocation and one pointer chase per vertex, which caps the n at which
-// H^{n x n} stays traversable at interactive speed.  CsrGraph stores both
-// directions as flat offsets/edges arrays (4 bytes per edge endpoint, two
-// offset words per vertex) so whole-graph sweeps, BFS, and degree lookups
-// are contiguous reads.
+// CsrGraph stores both directions as flat offsets/edges arrays (4 bytes
+// per edge endpoint, two offset words per vertex) so whole-graph sweeps,
+// BFS, and degree lookups are contiguous reads with no per-vertex heap
+// allocation.
 //
 // Ownership model: build-then-freeze.  A GraphBuilder accumulates
 // vertices and edges append-only; freeze() validates the result once —
@@ -14,9 +12,9 @@
 // order, making acyclicity a construction invariant rather than a
 // per-query check) and parallel edges are rejected — then computes both
 // adjacency directions in one stable counting sort.  Stability matters:
-// per-vertex neighbor order equals edge insertion order, exactly like the
-// legacy Digraph, so pebble simulations (whose LRU clock ticks in
-// neighbor-iteration order) are bit-identical across representations.
+// per-vertex neighbor order equals edge insertion order, so pebble
+// simulations (whose LRU clock ticks in neighbor-iteration order) are
+// bit-identical however the graph was assembled.
 #pragma once
 
 #include <cstdint>
@@ -25,15 +23,23 @@
 #include <vector>
 
 #include "common/frozen_array.hpp"
-#include "graph/digraph.hpp"
 
 namespace fmm::graph {
+
+using VertexId = std::uint32_t;
+
+/// Sentinel for "no vertex".
+inline constexpr VertexId kNoVertex = static_cast<VertexId>(-1);
+
+/// Largest graph to_dot() renders without an explicit override; above
+/// this a Strassen-sized CDAG would serialize to multi-GB DOT text.
+inline constexpr std::size_t kDotVertexLimit = 5000;
 
 class GraphBuilder;
 
 /// Frozen directed acyclic graph in dual-direction CSR form.  Instances
-/// are only produced by GraphBuilder::freeze() and the conversion
-/// helpers below; there is no mutation API.
+/// are only produced by GraphBuilder::freeze() and from_frozen_parts();
+/// there is no mutation API.
 class CsrGraph {
  public:
   /// Empty graph (0 vertices); assign from a freeze() result to populate.
@@ -57,7 +63,7 @@ class CsrGraph {
 
   /// The identity permutation: freeze() established u < v for every
   /// edge, so vertex ids already form a topological order.  O(V), never
-  /// touches the edge arrays (unlike Digraph's Kahn pass).
+  /// touches the edge arrays.
   std::vector<VertexId> topological_order() const;
 
   /// Acyclicity is a freeze() invariant.
@@ -124,7 +130,6 @@ class CsrGraph {
 
  private:
   friend class GraphBuilder;
-  friend CsrGraph csr_from_digraph(const Digraph& g);
 
   // offsets have size V+1 (or 0 for the empty graph); edge arrays are
   // indexed offsets[v] .. offsets[v+1].  FrozenArray views: owning for
@@ -135,9 +140,8 @@ class CsrGraph {
   FrozenArray<VertexId> in_edges_;
 };
 
-/// Append-only accumulator for CsrGraph.  Mirrors Digraph's construction
-/// API (add_vertices/add_edge) so builders port mechanically; the one new
-/// step is freeze(), which validates and compacts.
+/// Append-only accumulator for CsrGraph (add_vertices/add_edge); freeze()
+/// validates and compacts.
 class GraphBuilder {
  public:
   GraphBuilder() = default;
@@ -167,17 +171,5 @@ class GraphBuilder {
   std::vector<VertexId> edge_src_;
   std::vector<VertexId> edge_dst_;
 };
-
-/// Converts a legacy adjacency-list graph to CSR, preserving each
-/// vertex's out- and in-neighbor order exactly (required for bit-identical
-/// pebble simulation).  Applies the same validation as freeze(): the
-/// Digraph must be topologically appended (every edge u < v) and free of
-/// parallel edges.
-CsrGraph csr_from_digraph(const Digraph& g);
-
-/// Converts back to the legacy representation, again preserving both
-/// per-vertex neighbor orders.  Used by representation-equivalence tests
-/// and the old-vs-new benchmark.
-Digraph digraph_from_csr(const CsrGraph& g);
 
 }  // namespace fmm::graph

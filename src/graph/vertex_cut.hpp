@@ -10,18 +10,15 @@
 // SUB_H^{r x r} has size >= r^2/2) and demonstrate Lemma 3.11 (the
 // disjoint-path count through encoders).
 //
-// Every routine is overloaded for both graph representations: the frozen
-// CsrGraph that CDAGs use, and the mutable legacy Digraph that tests and
-// ad-hoc constructions still build.  Both overloads run the identical
-// flow construction, which is what the representation-equivalence sweep
-// in tests/test_csr_equivalence.cpp pins down.
+// Every routine takes the frozen CsrGraph; brute_force_min_vertex_cut is
+// the exponential reference oracle the flow-based routines are tested
+// against.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "graph/csr.hpp"
-#include "graph/digraph.hpp"
 
 namespace fmm::graph {
 
@@ -36,9 +33,6 @@ struct VertexCutResult {
 /// vertices may be sources or targets themselves (dominator semantics).
 /// If some target is unreachable from all sources it simply contributes
 /// nothing.  O(E * sqrt(V)) via unit-capacity Dinic.
-VertexCutResult min_vertex_cut(const Digraph& g,
-                               const std::vector<VertexId>& sources,
-                               const std::vector<VertexId>& targets);
 VertexCutResult min_vertex_cut(const CsrGraph& g,
                                const std::vector<VertexId>& sources,
                                const std::vector<VertexId>& targets);
@@ -48,10 +42,6 @@ VertexCutResult min_vertex_cut(const CsrGraph& g,
 /// vertices entirely.  Equals min_vertex_cut when `forbidden` is empty
 /// (Menger).
 std::size_t max_vertex_disjoint_paths(
-    const Digraph& g, const std::vector<VertexId>& sources,
-    const std::vector<VertexId>& targets,
-    const std::vector<VertexId>& forbidden = {});
-std::size_t max_vertex_disjoint_paths(
     const CsrGraph& g, const std::vector<VertexId>& sources,
     const std::vector<VertexId>& targets,
     const std::vector<VertexId>& forbidden = {});
@@ -59,18 +49,12 @@ std::size_t max_vertex_disjoint_paths(
 /// Reference implementation for tests: tries all vertex subsets in
 /// increasing cardinality until one is a dominator.  Exponential; requires
 /// g.num_vertices() <= 24.
-std::size_t brute_force_min_vertex_cut(const Digraph& g,
-                                       const std::vector<VertexId>& sources,
-                                       const std::vector<VertexId>& targets);
 std::size_t brute_force_min_vertex_cut(const CsrGraph& g,
                                        const std::vector<VertexId>& sources,
                                        const std::vector<VertexId>& targets);
 
 /// True iff `candidate` dominates `targets` w.r.t. `sources` in g, i.e.
 /// removing `candidate` leaves no source->target path (Definition 2.3).
-bool is_dominator_set(const Digraph& g, const std::vector<VertexId>& sources,
-                      const std::vector<VertexId>& targets,
-                      const std::vector<VertexId>& candidate);
 bool is_dominator_set(const CsrGraph& g, const std::vector<VertexId>& sources,
                       const std::vector<VertexId>& targets,
                       const std::vector<VertexId>& candidate);

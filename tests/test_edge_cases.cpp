@@ -12,7 +12,7 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "fft/fft.hpp"
-#include "graph/digraph.hpp"
+#include "graph/csr.hpp"
 #include "linalg/matmul.hpp"
 
 namespace fmm {
@@ -46,21 +46,22 @@ TEST(EdgeCases, TableCsvFileRoundTrip) {
 }
 
 TEST(EdgeCases, DigraphParallelEdges) {
-  graph::Digraph g(2);
-  g.add_edge(0, 1);
-  g.add_edge(0, 1);
-  EXPECT_EQ(g.num_edges(), 2u);
-  EXPECT_EQ(g.out_degree(0), 2u);
-  EXPECT_TRUE(g.is_dag());
+  // add_edge records a duplicate; freeze() refuses the multigraph.
+  graph::GraphBuilder builder(2);
+  builder.add_edge(0, 1);
+  builder.add_edge(0, 1);
+  EXPECT_EQ(builder.num_edges(), 2u);
+  EXPECT_THROW(builder.freeze(), CheckError);
 }
 
 TEST(EdgeCases, DigraphDotGuardAboveVertexLimit) {
   // Rendering a CDAG-sized graph to DOT produces output nobody can lay
   // out; the guard must trip above kDotVertexLimit unless overridden.
-  graph::Digraph g(graph::kDotVertexLimit + 1);
+  const graph::CsrGraph g =
+      graph::GraphBuilder(graph::kDotVertexLimit + 1).freeze();
   EXPECT_THROW(g.to_dot(), CheckError);
   EXPECT_NO_THROW(g.to_dot({}, /*allow_large=*/true));
-  graph::Digraph small(3);
+  const graph::CsrGraph small = graph::GraphBuilder(3).freeze();
   EXPECT_NO_THROW(small.to_dot());
 }
 

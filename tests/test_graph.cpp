@@ -1,30 +1,33 @@
-// Unit tests for src/graph digraph machinery and the immutable CSR
-// representation (GraphBuilder / CsrGraph / conversions).
+// Unit tests for the immutable CSR graph (GraphBuilder / CsrGraph).  The
+// Digraph suite covers the directed-graph queries — degrees, sources and
+// sinks, reachability, DOT, acyclicity — on small hand-built graphs.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "graph/csr.hpp"
-#include "graph/digraph.hpp"
 
 namespace fmm::graph {
 namespace {
 
-Digraph diamond() {
+CsrGraph freeze_edges(std::size_t num_vertices,
+                      const std::vector<std::pair<VertexId, VertexId>>& edges) {
+  GraphBuilder builder(num_vertices);
+  for (const auto& [u, v] : edges) {
+    builder.add_edge(u, v);
+  }
+  return builder.freeze();
+}
+
+CsrGraph diamond() {
   // 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3
-  Digraph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(0, 2);
-  g.add_edge(1, 3);
-  g.add_edge(2, 3);
-  return g;
+  return freeze_edges(4, {{0, 1}, {0, 2}, {1, 3}, {2, 3}});
 }
 
 TEST(Digraph, Degrees) {
-  const Digraph g = diamond();
+  const CsrGraph g = diamond();
   EXPECT_EQ(g.num_vertices(), 4u);
   EXPECT_EQ(g.num_edges(), 4u);
   EXPECT_EQ(g.out_degree(0), 2u);
@@ -33,50 +36,52 @@ TEST(Digraph, Degrees) {
 }
 
 TEST(Digraph, AddVerticesReturnsFirstId) {
-  Digraph g;
-  EXPECT_EQ(g.add_vertices(3), 0u);
-  EXPECT_EQ(g.add_vertices(2), 3u);
-  EXPECT_EQ(g.num_vertices(), 5u);
+  GraphBuilder builder;
+  EXPECT_EQ(builder.add_vertices(3), 0u);
+  EXPECT_EQ(builder.add_vertices(2), 3u);
+  EXPECT_EQ(builder.freeze().num_vertices(), 5u);
 }
 
 TEST(Digraph, EdgeOutOfRangeThrows) {
-  Digraph g(2);
-  EXPECT_THROW(g.add_edge(0, 2), CheckError);
+  GraphBuilder builder(2);
+  EXPECT_THROW(builder.add_edge(0, 2), CheckError);
+  EXPECT_THROW(builder.add_edge(2, 0), CheckError);
 }
 
 TEST(Digraph, SourcesAndSinks) {
-  const Digraph g = diamond();
+  const CsrGraph g = diamond();
   EXPECT_EQ(g.sources(), (std::vector<VertexId>{0}));
   EXPECT_EQ(g.sinks(), (std::vector<VertexId>{3}));
 }
 
 TEST(Digraph, TopologicalOrderRespectsEdges) {
-  const Digraph g = diamond();
+  const CsrGraph g = diamond();
   const auto order = g.topological_order();
   ASSERT_EQ(order.size(), 4u);
   std::vector<std::size_t> pos(4);
   for (std::size_t i = 0; i < order.size(); ++i) {
     pos[order[i]] = i;
   }
-  EXPECT_LT(pos[0], pos[1]);
-  EXPECT_LT(pos[0], pos[2]);
-  EXPECT_LT(pos[1], pos[3]);
-  EXPECT_LT(pos[2], pos[3]);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    for (const VertexId w : g.out_neighbors(v)) {
+      EXPECT_LT(pos[v], pos[w]);
+    }
+  }
 }
 
 TEST(Digraph, CycleDetection) {
-  Digraph g(3);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(2, 0);
-  EXPECT_FALSE(g.is_dag());
-  EXPECT_THROW(g.topological_order(), CheckError);
+  // Acyclicity is a freeze() invariant: a cycle cannot be frozen.
+  GraphBuilder builder(3);
+  builder.add_edge(0, 1);
+  builder.add_edge(1, 2);
+  builder.add_edge(2, 0);
+  EXPECT_THROW(builder.freeze(), CheckError);
 }
 
 TEST(Digraph, SelfLoopIsCycle) {
-  Digraph g(1);
-  g.add_edge(0, 0);
-  EXPECT_FALSE(g.is_dag());
+  GraphBuilder builder(1);
+  builder.add_edge(0, 0);
+  EXPECT_THROW(builder.freeze(), CheckError);
 }
 
 TEST(Digraph, DagIsDag) {
@@ -84,10 +89,7 @@ TEST(Digraph, DagIsDag) {
 }
 
 TEST(Digraph, ReachableFrom) {
-  Digraph g(5);
-  g.add_edge(0, 1);
-  g.add_edge(1, 2);
-  g.add_edge(3, 4);
+  const CsrGraph g = freeze_edges(5, {{0, 1}, {1, 2}, {3, 4}});
   const auto reach = g.reachable_from({0});
   EXPECT_TRUE(reach[0]);
   EXPECT_TRUE(reach[1]);
@@ -97,16 +99,14 @@ TEST(Digraph, ReachableFrom) {
 }
 
 TEST(Digraph, ReachableFromMultipleSources) {
-  Digraph g(4);
-  g.add_edge(0, 1);
-  g.add_edge(2, 3);
+  const CsrGraph g = freeze_edges(4, {{0, 1}, {2, 3}});
   const auto reach = g.reachable_from({0, 2});
   EXPECT_TRUE(reach[1]);
   EXPECT_TRUE(reach[3]);
 }
 
 TEST(Digraph, ReachingTo) {
-  const Digraph g = diamond();
+  const CsrGraph g = diamond();
   const auto reaching = g.reaching_to({3});
   EXPECT_TRUE(reaching[0]);
   EXPECT_TRUE(reaching[1]);
@@ -118,46 +118,40 @@ TEST(Digraph, ReachingTo) {
 }
 
 TEST(Digraph, ReachabilityOutOfRangeThrows) {
-  const Digraph g = diamond();
+  const CsrGraph g = diamond();
   EXPECT_THROW(g.reachable_from({9}), CheckError);
+  EXPECT_THROW(g.reaching_to({9}), CheckError);
 }
 
 TEST(Digraph, DotOutputContainsEdges) {
-  const Digraph g = diamond();
+  const CsrGraph g = diamond();
   const std::string dot = g.to_dot({"in", "l", "r", "out"});
   EXPECT_NE(dot.find("v0 -> v1"), std::string::npos);
+  EXPECT_NE(dot.find("v2 -> v3"), std::string::npos);
   EXPECT_NE(dot.find("label=\"in\""), std::string::npos);
   EXPECT_NE(dot.find("digraph"), std::string::npos);
 }
 
 TEST(Digraph, EmptyGraphTopoOrder) {
-  Digraph g;
+  const CsrGraph g = GraphBuilder().freeze();
   EXPECT_TRUE(g.topological_order().empty());
   EXPECT_TRUE(g.is_dag());
 }
 
 TEST(Digraph, LinearChainOrder) {
-  Digraph g(64);
+  GraphBuilder builder(64);
   for (VertexId v = 0; v + 1 < 64; ++v) {
-    g.add_edge(v, v + 1);
+    builder.add_edge(v, v + 1);
   }
-  const auto order = g.topological_order();
+  const auto order = builder.freeze().topological_order();
+  ASSERT_EQ(order.size(), 64u);
   for (VertexId v = 0; v < 64; ++v) {
     EXPECT_EQ(order[v], v);
   }
 }
 
-CsrGraph csr_diamond() {
-  GraphBuilder builder(4);
-  builder.add_edge(0, 1);
-  builder.add_edge(0, 2);
-  builder.add_edge(1, 3);
-  builder.add_edge(2, 3);
-  return builder.freeze();
-}
-
 TEST(CsrGraph, FreezeBasicStructure) {
-  const CsrGraph g = csr_diamond();
+  const CsrGraph g = diamond();
   EXPECT_EQ(g.num_vertices(), 4u);
   EXPECT_EQ(g.num_edges(), 4u);
   EXPECT_EQ(g.out_degree(0), 2u);
@@ -188,8 +182,8 @@ TEST(GraphBuilder, EdgeOutOfRangeThrows) {
 }
 
 TEST(GraphBuilder, FreezeRejectsParallelEdges) {
-  // Regression: the legacy Digraph silently accepts duplicate edges
-  // (see EdgeCases.DigraphParallelEdges); freeze() must not.
+  // Regression: the CDAG builder never creates duplicate edges, and
+  // freeze() must refuse them rather than store a multigraph.
   GraphBuilder builder(3);
   builder.add_edge(0, 1);
   builder.add_edge(1, 2);
@@ -221,8 +215,8 @@ TEST(GraphBuilder, FreezeConsumesBuilder) {
 
 TEST(CsrGraph, NeighborOrderEqualsInsertionOrder) {
   // Bit-identical pebble simulation depends on this: the LRU clock ticks
-  // in neighbor-iteration order, which must match the legacy Digraph's
-  // (insertion order), not sorted order.
+  // in neighbor-iteration order, which must be insertion order, not
+  // sorted order.
   GraphBuilder builder(5);
   builder.add_edge(0, 4);
   builder.add_edge(2, 4);
@@ -244,32 +238,18 @@ TEST(CsrGraph, NeighborOrderEqualsInsertionOrder) {
 
 TEST(CsrGraph, TopologicalOrderIsIdentity) {
   // freeze() validates u < v per edge, so ids are already topologically
-  // sorted and topological_order() returns the identity permutation —
-  // which is also a valid order for the equivalent Digraph.
-  GraphBuilder builder(6);
-  Digraph d(6);
-  const std::vector<std::pair<VertexId, VertexId>> edges = {
-      {0, 2}, {1, 2}, {2, 4}, {3, 4}, {2, 5}, {4, 5}};
-  for (const auto& [u, v] : edges) {
-    builder.add_edge(u, v);
-    d.add_edge(u, v);
-  }
-  const CsrGraph g = builder.freeze();
+  // sorted and topological_order() returns the identity permutation.
+  const CsrGraph g = freeze_edges(
+      6, {{0, 2}, {1, 2}, {2, 4}, {3, 4}, {2, 5}, {4, 5}});
   const auto order = g.topological_order();
   ASSERT_EQ(order.size(), 6u);
   for (VertexId v = 0; v < 6; ++v) {
     EXPECT_EQ(order[v], v);
   }
-  // Digraph's Kahn pass yields a (possibly different) valid order over
-  // the same vertex set.
-  auto kahn = d.topological_order();
-  EXPECT_EQ(kahn.size(), 6u);
-  std::sort(kahn.begin(), kahn.end());
-  EXPECT_EQ(kahn, order);
 }
 
 TEST(CsrGraph, ReachabilityBothDirections) {
-  const CsrGraph g = csr_diamond();
+  const CsrGraph g = diamond();
   const auto fwd = g.reachable_from({1});
   EXPECT_FALSE(fwd[0]);
   EXPECT_TRUE(fwd[1]);
@@ -283,46 +263,8 @@ TEST(CsrGraph, ReachabilityBothDirections) {
   EXPECT_THROW(g.reachable_from({9}), CheckError);
 }
 
-TEST(CsrGraph, RoundtripConversionsPreserveEverything) {
-  GraphBuilder builder(5);
-  builder.add_edge(0, 4);
-  builder.add_edge(2, 4);
-  builder.add_edge(1, 3);
-  builder.add_edge(0, 3);
-  builder.add_edge(3, 4);
-  const CsrGraph g = builder.freeze();
-  const Digraph d = digraph_from_csr(g);
-  EXPECT_EQ(d.num_vertices(), g.num_vertices());
-  EXPECT_EQ(d.num_edges(), g.num_edges());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const auto outs = g.out_neighbors(v);
-    EXPECT_TRUE(std::equal(outs.begin(), outs.end(),
-                           d.out_neighbors(v).begin(),
-                           d.out_neighbors(v).end()));
-    const auto ins = g.in_neighbors(v);
-    EXPECT_TRUE(std::equal(ins.begin(), ins.end(),
-                           d.in_neighbors(v).begin(),
-                           d.in_neighbors(v).end()));
-  }
-  EXPECT_EQ(csr_from_digraph(d), g);
-}
-
-TEST(CsrGraph, ConversionRejectsInvalidDigraph) {
-  {
-    Digraph d(2);
-    d.add_edge(0, 1);
-    d.add_edge(0, 1);  // legal in Digraph, rejected by conversion
-    EXPECT_THROW(csr_from_digraph(d), CheckError);
-  }
-  {
-    Digraph d(3);
-    d.add_edge(2, 1);  // not topologically appended
-    EXPECT_THROW(csr_from_digraph(d), CheckError);
-  }
-}
-
 TEST(CsrGraph, DotOutputAndGuard) {
-  const CsrGraph g = csr_diamond();
+  const CsrGraph g = diamond();
   const std::string dot = g.to_dot({"in", "l", "r", "out"});
   EXPECT_NE(dot.find("v0 -> v1"), std::string::npos);
   EXPECT_NE(dot.find("label=\"in\""), std::string::npos);
@@ -332,18 +274,6 @@ TEST(CsrGraph, DotOutputAndGuard) {
   EXPECT_THROW(huge.to_dot(), CheckError);
   EXPECT_NE(huge.to_dot({}, /*allow_large=*/true).find("digraph"),
             std::string::npos);
-}
-
-TEST(CsrGraph, MemoryBytesSmallerThanDigraph) {
-  GraphBuilder builder(256);
-  Digraph d(256);
-  for (VertexId v = 0; v + 1 < 256; ++v) {
-    builder.add_edge(v, v + 1);
-    d.add_edge(v, v + 1);
-  }
-  const CsrGraph g = builder.freeze();
-  EXPECT_GT(g.memory_bytes(), 0u);
-  EXPECT_LT(g.memory_bytes(), d.memory_bytes());
 }
 
 }  // namespace

@@ -14,6 +14,42 @@ namespace {
 
 constexpr std::size_t kNoNextUse = std::numeric_limits<std::size_t>::max();
 
+/// Next-use chains of a static schedule's reference string: per step, the
+/// operands are accessed, then the computed vertex.  Belady's victim
+/// choice and liveness-aware write-back read the head of each chain;
+/// executing a step consumes the uses it makes.
+class NextUses {
+ public:
+  NextUses(const cdag::Cdag& cdag,
+           const std::vector<graph::VertexId>& schedule)
+      : head_(cdag.graph.num_vertices(), 0),
+        uses_(cdag.graph.num_vertices()) {
+    std::size_t time = 0;
+    for (const graph::VertexId v : schedule) {
+      for (const graph::VertexId u : cdag.graph.in_neighbors(v)) {
+        uses_[u].push_back(time++);
+      }
+      uses_[v].push_back(time++);
+    }
+  }
+
+  /// The next use of `v` at or after the current position.
+  std::size_t next(graph::VertexId v) const {
+    return head_[v] < uses_[v].size() ? uses_[v][head_[v]] : kNoNextUse;
+  }
+
+  /// Marks the current use of `v` as made; returns the following one.
+  std::size_t consume(graph::VertexId v) {
+    FMM_CHECK(head_[v] < uses_[v].size());
+    ++head_[v];
+    return next(v);
+  }
+
+ private:
+  std::vector<std::size_t> head_;
+  std::vector<std::vector<std::size_t>> uses_;
+};
+
 /// Fast-memory state with an ordered eviction index.
 ///
 /// LRU keeps residents ordered by last-touch time (evict smallest);
@@ -33,7 +69,8 @@ class Cache {
         next_use_(cdag.graph.num_vertices(), kNoNextUse),
         is_output_(cdag.graph.num_vertices(), false),
         droppable_(cdag.graph.num_vertices(), false),
-        consumers_left_(cdag.graph.num_vertices(), 0) {
+        consumers_left_(cdag.graph.num_vertices(), 0),
+        computed_once_(cdag.graph.num_vertices(), false) {
     for (graph::VertexId v = 0; v < cdag.graph.num_vertices(); ++v) {
       consumers_left_[v] =
           static_cast<std::uint32_t>(cdag.graph.out_degree(v));
@@ -86,6 +123,7 @@ class Cache {
 
   bool resident(graph::VertexId v) const { return resident_[v]; }
   bool in_slow(graph::VertexId v) const { return in_slow_[v]; }
+  bool computed(graph::VertexId v) const { return computed_once_[v]; }
 
   void set_next_use(graph::VertexId v, std::size_t at) {
     next_use_[v] = at;
@@ -131,6 +169,56 @@ class Cache {
     FMM_CHECK_MSG(in_slow_[v], "load of value not in slow memory");
     insert(v, /*dirty=*/false, result);
     ++result.loads;
+  }
+
+  /// Executes one computation of `v`, the step both the static and the
+  /// dynamic (recomputation) schedule run: load any operand not in fast
+  /// memory, pin the working set, place v's result, release the
+  /// operands, and on v's first computation retire it from each
+  /// operand's consumer count.  `next_uses` is the static schedule's
+  /// lookahead, consumed as the step makes its accesses; the dynamic
+  /// schedule has none (nullptr).
+  void step(graph::VertexId v, SimResult& result, NextUses* next_uses) {
+    result.summary.compute_order.push_back(v);
+    result.summary.io_before.push_back(result.total_io());
+
+    const auto preds = cdag_.graph.in_neighbors(v);
+    for (const graph::VertexId u : preds) {
+      if (!resident(u)) {
+        FMM_CHECK_MSG(in_slow(u),
+                      "operand " << u << " of vertex " << v
+                                 << " is neither resident nor in slow "
+                                    "memory: illegal schedule (missing "
+                                    "recomputation?)");
+        load(u, result);
+      }
+      touch(u);
+      pin(u);
+    }
+    if (!resident(v)) {
+      insert(v, /*dirty=*/true, result);
+    }
+    touch(v);
+    for (const graph::VertexId u : preds) {
+      if (next_uses != nullptr) {
+        set_next_use(u, next_uses->consume(u));
+      }
+      unpin(u);
+    }
+    if (next_uses != nullptr) {
+      set_next_use(v, next_uses->consume(v));
+    }
+
+    ++result.computations;
+    if (computed_once_[v]) {
+      ++result.recomputations;
+      FMM_TRACE_INSTANT("recompute", "pebble");
+    } else {
+      for (const graph::VertexId u : preds) {
+        retire_consumer_of(u);
+      }
+    }
+    computed_once_[v] = true;
   }
 
   /// Flushes outputs at the end of the run.
@@ -217,6 +305,7 @@ class Cache {
   std::vector<bool> is_output_;
   std::vector<bool> droppable_;
   std::vector<std::uint32_t> consumers_left_;
+  std::vector<bool> computed_once_;
   std::set<std::pair<std::uint64_t, graph::VertexId>> index_;
   std::int64_t occupancy_ = 0;
   std::uint64_t clock_ = 0;
@@ -247,75 +336,18 @@ SimResult simulate(const cdag::Cdag& cdag,
   SimResult result;
   Cache cache(cdag, options);
 
-  // Precompute the reference string's next-use chains (for Belady and for
-  // liveness-aware write-back): per step, accesses are the operands then
-  // the computed vertex.
-  std::vector<std::size_t> head(cdag.graph.num_vertices(), 0);
-  std::vector<std::vector<std::size_t>> uses(cdag.graph.num_vertices());
-  {
-    std::size_t time = 0;
-    for (const graph::VertexId v : schedule) {
-      for (const graph::VertexId u : cdag.graph.in_neighbors(v)) {
-        uses[u].push_back(time++);
-      }
-      uses[v].push_back(time++);
-    }
-    for (graph::VertexId v = 0; v < cdag.graph.num_vertices(); ++v) {
-      cache.set_next_use(v, uses[v].empty() ? kNoNextUse : uses[v].front());
-    }
+  NextUses next_uses(cdag, schedule);
+  for (graph::VertexId v = 0; v < cdag.graph.num_vertices(); ++v) {
+    cache.set_next_use(v, next_uses.next(v));
   }
-  auto consume_use = [&](graph::VertexId v) {
-    std::size_t& h = head[v];
-    FMM_CHECK(h < uses[v].size());
-    ++h;
-    cache.set_next_use(v, h < uses[v].size() ? uses[v][h] : kNoNextUse);
-  };
-
-  std::vector<bool> computed_once(cdag.graph.num_vertices(), false);
   result.summary.compute_order.reserve(schedule.size());
   result.summary.io_before.reserve(schedule.size());
-
   for (const graph::VertexId v : schedule) {
-    result.summary.compute_order.push_back(v);
-    result.summary.io_before.push_back(result.total_io());
-
-    const auto& preds = cdag.graph.in_neighbors(v);
-    for (const graph::VertexId u : preds) {
-      if (!cache.resident(u)) {
-        FMM_CHECK_MSG(cache.in_slow(u),
-                      "operand " << u << " of vertex " << v
-                                 << " is neither resident nor in slow "
-                                    "memory: illegal schedule (missing "
-                                    "recomputation?)");
-        cache.load(u, result);
-      }
-      cache.touch(u);
-      cache.pin(u);
-    }
-    if (!cache.resident(v)) {
-      cache.insert(v, /*dirty=*/true, result);
-    }
-    cache.touch(v);
-    for (const graph::VertexId u : preds) {
-      consume_use(u);
-      cache.unpin(u);
-    }
-    consume_use(v);
-
-    ++result.computations;
-    if (computed_once[v]) {
-      ++result.recomputations;
-      FMM_TRACE_INSTANT("recompute", "pebble");
-    } else {
-      for (const graph::VertexId u : preds) {
-        cache.retire_consumer_of(u);
-      }
-    }
-    computed_once[v] = true;
+    cache.step(v, result, &next_uses);
   }
 
   for (const graph::VertexId v : cdag.outputs) {
-    FMM_CHECK_MSG(computed_once[v],
+    FMM_CHECK_MSG(cache.computed(v),
                   "schedule never computes output vertex " << v);
   }
 
@@ -340,7 +372,7 @@ class RecomputeRunner {
   SimResult run(const std::vector<graph::VertexId>& base_order) {
     FMM_TRACE_SPAN("pebble.simulate_with_recomputation", "pebble");
     for (const graph::VertexId v : base_order) {
-      if (!computed_once_[v]) {
+      if (!cache_.computed(v)) {
         compute(v, /*depth=*/0);
       }
     }
@@ -381,34 +413,7 @@ class RecomputeRunner {
                                           << " keep thrashing: M too small");
     }
 
-    // Execute the step exactly as simulate() would.
-    result_.summary.compute_order.push_back(v);
-    result_.summary.io_before.push_back(result_.total_io());
-    for (const graph::VertexId u : preds) {
-      if (!cache_.resident(u)) {
-        FMM_CHECK(cache_.in_slow(u));
-        cache_.load(u, result_);
-      }
-      cache_.touch(u);
-      cache_.pin(u);
-    }
-    if (!cache_.resident(v)) {
-      cache_.insert(v, /*dirty=*/true, result_);
-    }
-    cache_.touch(v);
-    for (const graph::VertexId u : preds) {
-      cache_.unpin(u);
-    }
-    ++result_.computations;
-    if (computed_once_[v]) {
-      ++result_.recomputations;
-      FMM_TRACE_INSTANT("recompute", "pebble");
-    } else {
-      for (const graph::VertexId u : preds) {
-        cache_.retire_consumer_of(u);
-      }
-    }
-    computed_once_[v] = true;
+    cache_.step(v, result_, /*next_uses=*/nullptr);
   }
 
   const cdag::Cdag& cdag_;
@@ -416,8 +421,6 @@ class RecomputeRunner {
   std::int64_t max_computations_;
   Cache cache_;
   SimResult result_;
-  std::vector<bool> computed_once_ =
-      std::vector<bool>(cdag_.graph.num_vertices(), false);
 };
 
 }  // namespace

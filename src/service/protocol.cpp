@@ -4,6 +4,7 @@
 
 #include "common/check.hpp"
 #include "common/json.hpp"
+#include "sweep/sweep.hpp"
 
 namespace fmm::service {
 
@@ -151,18 +152,20 @@ Request parse_request(const std::string& line) {
         usage("schedule must be a string");
       }
       request.schedule = value.as_string();
-      if (request.schedule != "dfs" && request.schedule != "bfs" &&
-          request.schedule != "random") {
-        usage("schedule must be dfs, bfs or random, got '" +
-              request.schedule + "'");
+      try {
+        sweep::schedule_policy_from_name(request.schedule);
+      } catch (const CheckError& e) {
+        usage(e.what());
       }
     } else if (field == "policy") {
       if (!value.is_string()) {
         usage("policy must be a string");
       }
       request.policy = value.as_string();
-      if (request.policy != "lru" && request.policy != "opt") {
-        usage("policy must be lru or opt, got '" + request.policy + "'");
+      try {
+        sweep::replacement_policy_from_name(request.policy);
+      } catch (const CheckError& e) {
+        usage(e.what());
       }
     } else if (field == "remat") {
       if (!value.is_bool()) {

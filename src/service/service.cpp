@@ -371,46 +371,23 @@ std::string QueryService::compute_result(const Request& request) {
       return os.str();
     }
     case Op::kSimulate:
-    case Op::kLiveness: {
-      // The result IS a one-cell sweep task row: serve, `fmmio sweep`
-      // and `fmmio simulate` answer through the same run_task path, so
-      // the byte-identity contract is sweep's existing determinism.
-      sweep::SweepSpec spec;
-      spec.algorithms = {request.algorithm};
-      spec.n_grid = {request.n};
-      spec.m_grid = {request.m};
-      spec.kinds = {request.op == Op::kLiveness
-                        ? sweep::TaskKind::kLiveness
-                        : sweep::TaskKind::kSimulate};
-      spec.schedule = request.schedule == "bfs"
-                          ? sweep::SchedulePolicy::kBfs
-                      : request.schedule == "random"
-                          ? sweep::SchedulePolicy::kRandom
-                          : sweep::SchedulePolicy::kDfs;
-      if (request.policy == "opt") {
-        spec.replacement = pebble::ReplacementPolicy::kBelady;
-      }
-      spec.remat = request.remat;
-      spec.base_seed = request.seed;
-      const std::vector<sweep::TaskCell> cells =
-          sweep::enumerate_tasks(spec);
-      FMM_CHECK_MSG(cells.size() == 1, "one-cell spec enumerated "
-                                           << cells.size() << " cells");
-      const std::shared_ptr<const cdag::Cdag> cdag =
-          cdag_source_.get_cdag(request.algorithm, request.n);
-      const sweep::TaskResult row =
-          sweep::run_task(cells[0], *cdag, spec);
-      return sweep::task_row_json(row);
-    }
+    case Op::kLiveness:
     case Op::kOptimal: {
-      // Same one-cell sweep path as simulate/liveness: the exact
-      // minimum-I/O row (or its structured `infeasible` skip) is byte
-      // identical to the matching `fmmio sweep --kinds optimal` row.
+      // The result IS a one-cell sweep task row: serve and `fmmio sweep`
+      // answer through run_task, and `fmmio simulate` runs the same cell
+      // (seed task_seed(seed, 0)) through run_task's simulate_cell, so
+      // the byte-identity contract is sweep's existing determinism.  An
+      // optimal row (or its structured `infeasible` skip) is likewise
+      // byte identical to the matching `fmmio sweep --kinds optimal` row.
       sweep::SweepSpec spec;
       spec.algorithms = {request.algorithm};
       spec.n_grid = {request.n};
       spec.m_grid = {request.m};
-      spec.kinds = {sweep::TaskKind::kOptimal};
+      spec.kinds = {request.op == Op::kLiveness  ? sweep::TaskKind::kLiveness
+                    : request.op == Op::kOptimal ? sweep::TaskKind::kOptimal
+                                                 : sweep::TaskKind::kSimulate};
+      spec.schedule = sweep::schedule_policy_from_name(request.schedule);
+      spec.replacement = sweep::replacement_policy_from_name(request.policy);
       spec.remat = request.remat;
       spec.base_seed = request.seed;
       const std::vector<sweep::TaskCell> cells =

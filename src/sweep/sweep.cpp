@@ -95,29 +95,6 @@ std::vector<graph::VertexId> make_schedule(const cdag::Cdag& cdag,
   return pebble::dfs_schedule(cdag);
 }
 
-pebble::SimOptions sim_options(const TaskCell& cell, const SweepSpec& spec) {
-  pebble::SimOptions options;
-  options.cache_size = cell.m;
-  options.replacement = spec.replacement;
-  if (spec.remat) {
-    options.writeback = pebble::WritebackPolicy::kDropRecomputable;
-    // The dynamic recomputation schedule precludes Belady lookahead.
-    options.replacement = pebble::ReplacementPolicy::kLru;
-  }
-  return options;
-}
-
-pebble::SimResult run_simulation(const TaskCell& cell,
-                                 const cdag::Cdag& cdag,
-                                 const SweepSpec& spec, Rng& rng) {
-  const auto schedule = make_schedule(cdag, spec.schedule, rng);
-  const pebble::SimOptions options = sim_options(cell, spec);
-  if (spec.remat) {
-    return pebble::simulate_with_recomputation(cdag, schedule, options);
-  }
-  return pebble::simulate(cdag, schedule, options);
-}
-
 void copy_sim_payload(TaskResult& out, const pebble::SimResult& sim) {
   out.loads = sim.loads;
   out.stores = sim.stores;
@@ -209,6 +186,21 @@ const char* schedule_policy_name(SchedulePolicy policy) {
   return "?";
 }
 
+SchedulePolicy schedule_policy_from_name(const std::string& name) {
+  if (name == "dfs") return SchedulePolicy::kDfs;
+  if (name == "bfs") return SchedulePolicy::kBfs;
+  if (name == "random") return SchedulePolicy::kRandom;
+  throw CheckError("schedule must be dfs, bfs or random, got '" + name +
+                   "'");
+}
+
+pebble::ReplacementPolicy replacement_policy_from_name(
+    const std::string& name) {
+  if (name == "lru") return pebble::ReplacementPolicy::kLru;
+  if (name == "opt") return pebble::ReplacementPolicy::kBelady;
+  throw CheckError("policy must be lru or opt, got '" + name + "'");
+}
+
 std::uint64_t task_seed(std::uint64_t base_seed, std::uint64_t task_index) {
   // SplitMix64 over a golden-ratio stride keyed by (base_seed, index).
   return mix64(base_seed + kGoldenGamma * (task_index + 1));
@@ -273,6 +265,34 @@ std::vector<TaskCell> enumerate_tasks(const SweepSpec& spec) {
   return cells;
 }
 
+pebble::SimResult simulate_cell(const TaskCell& cell, const cdag::Cdag& cdag,
+                                const SweepSpec& spec) {
+  Rng rng(cell.seed);
+  const auto schedule = make_schedule(cdag, spec.schedule, rng);
+  pebble::SimOptions options;
+  options.cache_size = cell.m;
+  options.replacement = spec.replacement;
+  if (spec.remat) {
+    options.writeback = pebble::WritebackPolicy::kDropRecomputable;
+    // The dynamic recomputation schedule precludes Belady lookahead.
+    options.replacement = pebble::ReplacementPolicy::kLru;
+    return pebble::simulate_with_recomputation(cdag, schedule, options);
+  }
+  return pebble::simulate(cdag, schedule, options);
+}
+
+double certified_floor(std::size_t n, std::int64_t m,
+                       const bilinear::SchemeTraits& traits) {
+  if (traits.base < 2) {
+    return 0.0;
+  }
+  return std::ceil(bounds::fast_memory_dependent(
+                       bounds::mm_params_from_ints(
+                           static_cast<std::int64_t>(n), m),
+                       traits) /
+                   kBoundSlack);
+}
+
 TaskResult run_task(const TaskCell& cell, const cdag::Cdag& cdag,
                     const SweepSpec& spec) {
   TaskResult result;
@@ -295,7 +315,7 @@ TaskResult run_task(const TaskCell& cell, const cdag::Cdag& cdag,
     result.omega0 = traits.omega0;
     switch (cell.kind) {
       case TaskKind::kSimulate: {
-        copy_sim_payload(result, run_simulation(cell, cdag, spec, rng));
+        copy_sim_payload(result, simulate_cell(cell, cdag, spec));
         break;
       }
       case TaskKind::kLiveness: {
@@ -320,7 +340,7 @@ TaskResult run_task(const TaskCell& cell, const cdag::Cdag& cdag,
         break;
       }
       case TaskKind::kBoundCheck: {
-        const pebble::SimResult sim = run_simulation(cell, cdag, spec, rng);
+        const pebble::SimResult sim = simulate_cell(cell, cdag, spec);
         copy_sim_payload(result, sim);
         result.lower_bound = bounds::fast_memory_dependent(
             bounds::mm_params_from_ints(
@@ -342,21 +362,10 @@ TaskResult run_task(const TaskCell& cell, const cdag::Cdag& cdag,
         // the same spec: standard sweeps certify the once-only game,
         // --remat sweeps the recomputation-allowed game.
         options.allow_recomputation = spec.remat;
-        double floor_bound = 0.0;
-        if (traits.base >= 2) {
-          // Theorem 1.1's certified floor (the Ω-constant reading the
-          // repo certifies, bound/kBoundSlack) doubles as the solver's
-          // root pruning bound — every reported min_io sits above it by
-          // construction.
-          floor_bound = std::ceil(
-              bounds::fast_memory_dependent(
-                  bounds::mm_params_from_ints(
-                      static_cast<std::int64_t>(cell.n), cell.m),
-                  traits) /
-              kBoundSlack);
-          options.root_lower_bound =
-              static_cast<std::int64_t>(floor_bound);
-        }
+        // The certified floor doubles as the solver's root pruning bound
+        // — every reported min_io sits above it by construction.
+        const double floor_bound = certified_floor(cell.n, cell.m, traits);
+        options.root_lower_bound = static_cast<std::int64_t>(floor_bound);
         try {
           const pebble::OptimalPebbleResult opt =
               pebble::optimal_io(pebble::to_instance(cdag), options);
@@ -811,10 +820,14 @@ SweepResult run_sweep(const SweepSpec& spec, CdagSource& cdag_source) {
   }
   pool.wait_idle();
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    FMM_CHECK_MSG(build_errors[i].empty(),
-                  "sweep: CDAG build failed for "
-                      << keys[i].first << " n=" << keys[i].second << ": "
-                      << build_errors[i]);
+    if (!build_errors[i].empty()) {
+      // Under keep_going the key's cells become failed rows below.
+      FMM_CHECK_MSG(spec.keep_going,
+                    "sweep: CDAG build failed for "
+                        << keys[i].first << " n=" << keys[i].second << ": "
+                        << build_errors[i]);
+      continue;
+    }
     // The estimate is a heuristic; the measured footprint is the
     // authority.  Release this sweep's reference to an over-budget
     // graph immediately (a caching source may keep its own).
@@ -836,20 +849,27 @@ SweepResult run_sweep(const SweepSpec& spec, CdagSource& cdag_source) {
       continue;
     }
     const std::size_t key = key_index.at({cell.algorithm, cell.n});
-    if (over_budget[key]) {
-      // Graceful degradation: the oversized cell becomes a recorded
-      // skip, not an OOM kill.  Deterministic, so checkpointable.
+    if (over_budget[key] || !build_errors[key].empty()) {
+      // Cells that never run: an oversized cell degrades into a recorded
+      // skip instead of an OOM kill, and (under keep_going) a cell whose
+      // CDAG could not be built fails with the build error.  Both are
+      // deterministic, so checkpointable.
       TaskResult& slot = result.tasks[cell.index];
       slot.cell = cell;
       const bilinear::SchemeTraits traits = resolve_traits(cell.algorithm);
       slot.scheme_name = traits.name;
       slot.scheme_fingerprint = traits.fingerprint;
       slot.omega0 = traits.omega0;
-      slot.ok = true;
-      slot.skipped = true;
-      slot.skip_reason = "budget";
       slot.attempts = 0;
-      ++budget_skips;
+      if (over_budget[key]) {
+        slot.ok = true;
+        slot.skipped = true;
+        slot.skip_reason = "budget";
+        ++budget_skips;
+      } else {
+        slot.error =
+            cell_prefix(cell) + ": CDAG build failed: " + build_errors[key];
+      }
       if (checkpoint) {
         // Workers submitted by earlier iterations may already be
         // appending; the writer is thread-compatible, not thread-safe.

@@ -23,7 +23,9 @@
 // recorded with its (algorithm, n, M) coordinates.  With
 // spec.keep_going=false (default) the engine cancels the remaining queue
 // and rethrows a CheckError naming the lowest-index failing cell; with
-// keep_going=true failures become rows of the report instead.
+// keep_going=true failures become rows of the report instead — also the
+// cells of an (algorithm, n) whose CDAG could not be built, which fail
+// with the build error and attempts 0 (they never ran).
 //
 // Resilience layer (docs/RESILIENCE.md): failing tasks retry with
 // exponential backoff on a VIRTUAL clock (delays are computed and
@@ -81,6 +83,14 @@ const char* task_kind_name(TaskKind kind);
 enum class SchedulePolicy { kDfs, kBfs, kRandom };
 
 const char* schedule_policy_name(SchedulePolicy policy);
+
+/// The schedule and replacement-policy names every front end accepts
+/// (CLI flags, service requests): "dfs" | "bfs" | "random", and "lru" |
+/// "opt" (Belady).  Unknown names throw CheckError with the one-line
+/// usage text ("schedule must be dfs, bfs or random, got 'x'").
+SchedulePolicy schedule_policy_from_name(const std::string& name);
+pebble::ReplacementPolicy replacement_policy_from_name(
+    const std::string& name);
 
 /// Declarative description of a sweep: the full cross product
 /// algorithms x n_grid x m_grid x kinds is enumerated in that order.
@@ -269,6 +279,21 @@ bilinear::SchemeTraits resolve_traits(const std::string& name);
 
 /// The deterministic task list of `spec` (no work is performed).
 std::vector<TaskCell> enumerate_tasks(const SweepSpec& spec);
+
+/// The pebble run of a simulate/boundcheck cell: the spec's schedule
+/// (random ones drawn from Rng(cell.seed)) executed at M = cell.m under
+/// the spec's replacement policy, or, with spec.remat, by the
+/// recomputation runner (drop-recomputable write-back, LRU forced).
+/// Throws CheckError on an infeasible run.
+pebble::SimResult simulate_cell(const TaskCell& cell, const cdag::Cdag& cdag,
+                                const SweepSpec& spec);
+
+/// Theorem 1.1's certified floor at (n, M): the closed-form bound divided
+/// by kBoundSlack, rounded up.  Optimal cells use it as the solver's root
+/// pruning bound and as the floor min_io must reach; 0 for rectangular
+/// schemes (base < 2), which have no such bound.
+double certified_floor(std::size_t n, std::int64_t m,
+                       const bilinear::SchemeTraits& traits);
 
 /// Runs one cell against a pre-built CDAG.  Never throws: failures are
 /// recorded in the result with the cell's coordinates.

@@ -185,6 +185,51 @@ TEST(SweepDeterminism, KeepGoingRecordsFailureInReport) {
   EXPECT_EQ(run_sweep(spec).to_json(), result.to_json());
 }
 
+TEST(SweepDeterminism, KeepGoingTurnsFailedCdagBuildsIntoRows) {
+  // A mixed-base grid: Strassen needs powers of 2, Laderman powers of 3,
+  // so (strassen, 9) and (laderman, 16) cannot be built.  Under
+  // keep_going those cells are failed rows carrying their coordinates
+  // and the build error; the other two run.
+  SweepSpec spec;
+  spec.algorithms = {"strassen", std::string("file:") + FMM_SOURCE_ROOT +
+                                     "/schemes/laderman_333_23.json"};
+  spec.n_grid = {9, 16};
+  spec.m_grid = {64};
+  spec.kinds = {TaskKind::kSimulate};
+  spec.keep_going = true;
+  spec.num_threads = 1;
+  const SweepResult result = run_sweep(spec);
+  ASSERT_EQ(result.num_tasks, 4u);
+  EXPECT_EQ(result.completed, 2u);
+  EXPECT_EQ(result.failed, 2u);
+  for (const std::size_t index : {0u, 3u}) {
+    const TaskResult& bad = result.tasks[index];
+    EXPECT_FALSE(bad.ok);
+    EXPECT_EQ(bad.attempts, 0);
+    EXPECT_NE(bad.error.find("CDAG build failed"), std::string::npos)
+        << bad.error;
+    EXPECT_NE(bad.error.find("(n=" + std::to_string(bad.cell.n) + ", M=64)"),
+              std::string::npos)
+        << bad.error;
+  }
+  EXPECT_TRUE(result.tasks[1].ok);
+  EXPECT_TRUE(result.tasks[2].ok);
+  spec.num_threads = 8;
+  EXPECT_EQ(run_sweep(spec).to_json(), result.to_json());
+
+  // Fail-fast keeps refusing the whole sweep with the build error.
+  spec.keep_going = false;
+  try {
+    run_sweep(spec);
+    FAIL() << "expected the unbuildable cells to fail the sweep";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "sweep: CDAG build failed for strassen n=9"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(SweepDeterminism, UnknownAlgorithmFailsUpFront) {
   SweepSpec spec;
   spec.algorithms = {"no-such-algorithm"};
